@@ -123,8 +123,7 @@ int main() {
     // A fresh node per (thread count, batch mode) replays the prefix, then
     // the same ten measured blocks; ev_sv_ms sums the proof-bound
     // (parallelized) phases. The batched rows defer OP_CHECKSIG triples into
-    // crypto::verify_batch; the sweep pins both modes explicitly so an
-    // EBV_BATCH_VERIFY ambient setting cannot collapse the comparison.
+    // crypto::verify_batch.
     std::printf("\nEBV thread-count sweep — EV+SV wall time over the measured blocks\n");
     std::printf("%-8s %8s %12s %10s\n", "threads", "batch", "ev_sv_ms", "speedup");
     bench::print_rule(40);

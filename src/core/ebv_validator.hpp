@@ -6,20 +6,18 @@
 //   SV — run Us against the locking script inside ELs.
 // No step touches the disk: headers and bit-vectors are memory-resident and
 // the proof data arrives with the transaction. Block storage then updates
-// the bit-vector set (§IV-E).
+// the bit-vector set (§IV-E). core::ProofKernel (core/proof_kernel.hpp) runs
+// these checks for a block or a window of blocks.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 
-#include "chain/header_index.hpp"
 #include "chain/params.hpp"
-#include "core/bitvector_set.hpp"
 #include "core/ebv_transaction.hpp"
 #include "core/sighash_cache.hpp"
 #include "script/interpreter.hpp"
-#include "util/result.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -62,10 +60,9 @@ struct EbvValidationFailure {
 };
 
 // ---- Shared per-input / per-block checks -----------------------------------
-// The serial validator below and the inter-block IBD pipeline (`ebv::ibd`)
-// run exactly these checks; sharing them is what makes "pipelined rejects
-// identically to serial" a structural property rather than a test-enforced
-// coincidence.
+// The proof-check kernel (core/proof_kernel.hpp), which both block-connect
+// paths run, and mempool admission (core/tx_pool.hpp) build on exactly these
+// checks.
 
 /// Per-input Existence Validation verdict, recorded out of order by the
 /// parallel pass and resolved in input order afterwards.
@@ -94,7 +91,7 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
 
 /// The stateless structural pass: coinbase shape, stake-position
 /// assignment, output-value ranges, and the block's own Merkle root.
-/// Returns the failure a serial connect_block would report, or nullopt.
+/// Returns the failure EbvNode::submit_block would report, or nullopt.
 [[nodiscard]] std::optional<EbvValidationFailure> check_block_structure(
     const EbvBlock& block, const chain::ChainParams& params);
 
@@ -128,25 +125,22 @@ struct EbvValidatorOptions {
     bool verify_scripts = true;
     util::ThreadPool* script_pool = nullptr;
     /// Deferred batched ECDSA verification for the fused EV+SV pass (see
-    /// docs/CRYPTO.md). nullopt defers to the EBV_BATCH_VERIFY environment
-    /// knob (off when unset); an explicit value always wins over the env.
-    std::optional<bool> batch_verify;
+    /// docs/CRYPTO.md).
+    bool batch_verify = false;
     /// O(n) per-transaction sighash templates for SV (docs/CRYPTO.md).
-    /// nullopt defers to the EBV_SIGHASH_TEMPLATE environment knob (ON when
-    /// unset); an explicit value always wins over the env.
-    std::optional<bool> sighash_template;
+    bool sighash_template = true;
     /// Shared signature-verification cache: signatures the mempool already
     /// verified at admission short-circuit SV here (docs/MEMPOOL.md).
     /// nullptr = every signature pays the full curve check.
     SigCache* sigcache = nullptr;
 };
 
-/// Resolve the tri-state batch_verify option against EBV_BATCH_VERIFY.
-[[nodiscard]] bool batch_verify_enabled(const EbvValidatorOptions& options);
-
-/// Resolve the tri-state sighash_template option against
-/// EBV_SIGHASH_TEMPLATE (default ON).
-[[nodiscard]] bool sighash_template_enabled(const EbvValidatorOptions& options);
+[[nodiscard]] inline bool batch_verify_enabled(const EbvValidatorOptions& options) {
+    return options.batch_verify;
+}
+[[nodiscard]] inline bool sighash_template_enabled(const EbvValidatorOptions& options) {
+    return options.sighash_template;
+}
 
 /// SignatureChecker binding the script VM to EBV's signature-hash rules.
 class EbvSignatureChecker final : public script::SignatureChecker {
@@ -171,29 +165,6 @@ private:
     std::size_t input_index_;
     const TxSighashCache* cache_;
     SigCache* sigcache_;
-};
-
-class EbvValidator {
-public:
-    EbvValidator(const chain::ChainParams& params, const chain::HeaderIndex& headers,
-                 BitVectorSet& status, EbvValidatorOptions options = {})
-        : params_(params), headers_(headers), status_(status), options_(options) {}
-
-    /// Validate the block at `height` and, on success, apply it to the
-    /// bit-vector set. The set is untouched on failure. Publishes per-stage
-    /// histograms and per-block counters under `ebv.block.*` and emits one
-    /// span per stage (see docs/OBSERVABILITY.md).
-    util::Result<EbvTimings, EbvValidationFailure> connect_block(const EbvBlock& block,
-                                                                 std::uint32_t height);
-
-private:
-    util::Result<EbvTimings, EbvValidationFailure> connect_block_impl(
-        const EbvBlock& block, std::uint32_t height);
-
-    const chain::ChainParams& params_;
-    const chain::HeaderIndex& headers_;
-    BitVectorSet& status_;
-    EbvValidatorOptions options_;
 };
 
 }  // namespace ebv::core

@@ -2,6 +2,10 @@
 
 #include <cstdio>
 
+#include "core/proof_kernel.hpp"
+#include "crypto/sha256.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace ebv::core {
@@ -13,18 +17,98 @@ EbvNode::EbvNode(const EbvNodeOptions& options) : options_(options) {
     }
 }
 
+namespace {
+
+/// Per-stage histograms of the block-at-a-time path; values survive
+/// Registry::reset().
+struct BlockStageMetrics {
+    obs::Gauge& sha256_impl;
+    obs::Histogram& ev_ns;
+    obs::Histogram& uv_ns;
+    obs::Histogram& sv_ns;
+    obs::Histogram& update_ns;
+    obs::Histogram& other_ns;
+    obs::Histogram& total_ns;
+
+    static BlockStageMetrics& get() {
+        static BlockStageMetrics m{
+            obs::Registry::global().gauge("ebv.crypto.sha256_impl"),
+            obs::Registry::global().histogram("ebv.block.ev_ns"),
+            obs::Registry::global().histogram("ebv.block.uv_ns"),
+            obs::Registry::global().histogram("ebv.block.sv_ns"),
+            obs::Registry::global().histogram("ebv.block.update_ns"),
+            obs::Registry::global().histogram("ebv.block.other_ns"),
+            obs::Registry::global().histogram("ebv.block.total_ns"),
+        };
+        return m;
+    }
+};
+
+}  // namespace
+
 util::Result<EbvTimings, EbvValidationFailure> EbvNode::submit_block(
     const EbvBlock& block) {
     const std::uint32_t height = next_height();
-    EbvValidator validator(options_.params, headers_, status_, options_.validator);
-    auto result = validator.connect_block(block, height);
-    if (!result) return result;
+    // The block's causal span: worker-side per-input spans and the per-stage
+    // aggregates below nest under it (workers inherit this context through
+    // the ThreadPool hooks), and it nests under whatever the caller has open.
+    obs::ScopedSpan block_span("ebv.block", "block");
+    block_span.set_value(height);
+    BlockStageMetrics& m = BlockStageMetrics::get();
+    m.sha256_impl.set(crypto::sha256_impl_index());
+
+    EbvTimings t;
+    t.inputs = block.input_count();
+    t.outputs = block.output_count();
+    util::Stopwatch structure_watch;
+    std::optional<EbvValidationFailure> failure =
+        check_block_structure(block, options_.params);
+    t.other.wall_ns += structure_watch.elapsed_ns();
+    if (!failure) {
+        ProofKernel kernel({&block, 1}, height, options_.params, options_.validator);
+        const ProofKernel::PassTimes pass =
+            kernel.run([&](std::uint32_t h) { return headers_.at(h); });
+        t.ev.wall_ns += pass.ev;
+        t.sv.wall_ns += pass.sv;
+        failure = kernel.resolve(0, status_, nullptr, t);
+    }
+    if (failure) {
+        publish_block_rejected();
+        return util::Unexpected{*failure};
+    }
+
+    // Block storage: update the bit-vector set (§IV-E1).
+    util::Stopwatch update_watch;
+    status_.insert_block(height, static_cast<std::uint32_t>(block.output_count()));
+    for (std::size_t i = 1; i < block.txs.size(); ++i) {
+        for (const EbvInput& in : block.txs[i].inputs) {
+            const auto spent = status_.spend(in.height, in.absolute_position());
+            EBV_ASSERT(spent.has_value());  // resolve()'s UV check guarantees this
+        }
+    }
+    t.update.wall_ns += update_watch.elapsed_ns();
 
     const bool linked = headers_.append(block.header);
     EBV_ENSURES(linked);
     output_counts_.push_back(static_cast<std::uint32_t>(block.output_count()));
     if (block_store_) block_store_->append(block);
-    return result;
+
+    publish_block_connected(block);
+    m.ev_ns.observe(t.ev.total_ns());
+    m.uv_ns.observe(t.uv.total_ns());
+    m.sv_ns.observe(t.sv.total_ns());
+    m.update_ns.observe(t.update.total_ns());
+    m.other_ns.observe(t.other.total_ns());
+    m.total_ns.observe(t.total().total_ns());
+    obs::Tracer& tracer = obs::Tracer::global();
+    if (tracer.enabled()) {
+        tracer.record("ebv.block.ev", t.ev);
+        tracer.record("ebv.block.uv", t.uv);
+        tracer.record("ebv.block.sv", t.sv);
+        tracer.record("ebv.block.update", t.update);
+        tracer.record("ebv.block.total", t.total());
+    }
+    return t;
 }
 
 void EbvNode::save_snapshot(const std::string& path) const {

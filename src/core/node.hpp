@@ -30,7 +30,11 @@ class EbvNode {
 public:
     explicit EbvNode(const EbvNodeOptions& options);
 
-    /// Validate and connect the next block (height = tip + 1).
+    /// Validate and connect the next block (height = tip + 1): the
+    /// structural pass, then core::ProofKernel over this one block, then
+    /// the bit-vector update. The node is untouched on failure. Publishes
+    /// per-stage histograms and per-block counters under `ebv.block.*` and
+    /// one span per stage (see docs/OBSERVABILITY.md).
     util::Result<EbvTimings, EbvValidationFailure> submit_block(const EbvBlock& block);
 
     /// Validate and connect a batch of consecutive blocks, pipelined across

@@ -31,6 +31,12 @@ namespace ebv::core {
 /// template engages only where it wins (see bench/micro_crypto BM_Sighash_*).
 inline constexpr std::size_t kSighashCacheMinInputs = 2;
 
+/// The template policy of every SV path (block kernel and mempool
+/// admission): whether a TxSighashCache for `tx` pays for its build.
+[[nodiscard]] inline bool sighash_template_pays(const EbvTransaction& tx) {
+    return tx.inputs.size() >= kSighashCacheMinInputs;
+}
+
 class TxSighashCache {
 public:
     explicit TxSighashCache(const EbvTransaction& tx);

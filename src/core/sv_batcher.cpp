@@ -82,10 +82,11 @@ void SvBatcher::check(std::size_t slot_index, std::size_t tag, const EbvTransact
                         std::make_move_iterator(collected.begin()),
                         std::make_move_iterator(collected.end()));
     slot.pending.push_back(Pending{tag, &tx, input_index, cache, begin, slot.triples.size()});
-    if (slot.triples.size() >= kBatchTarget) flush(slot);
+    if (slot.triples.size() >= kBatchTarget) flush(slot_index);
 }
 
-void SvBatcher::flush(Slot& slot) {
+void SvBatcher::flush(std::size_t slot_index) {
+    Slot& slot = slots_[slot_index];
     if (slot.pending.empty()) return;
     CryptoMetrics& m = CryptoMetrics::get();
 
@@ -121,10 +122,6 @@ void SvBatcher::flush(Slot& slot) {
     }
     slot.pending.clear();
     slot.triples.clear();
-}
-
-void SvBatcher::flush_all() {
-    for (Slot& slot : slots_) flush(slot);
 }
 
 SvBatcher::Stats SvBatcher::stats() const {

@@ -29,9 +29,9 @@ class SigCache;
 class SvBatcher {
 public:
     /// Verdict callback: resolve(tag, err) fires exactly once per check()
-    /// call, on the slot's thread (or on the flush_all() caller). `tag` is
+    /// call, on the thread that runs the slot's check() or flush(). `tag` is
     /// the caller-chosen job identifier passed to check(). The referenced
-    /// callable must outlive the batcher's last check()/flush_all().
+    /// callable must outlive the batcher's last check()/flush().
     using Resolve = util::FunctionRef<void(std::size_t, script::ScriptError)>;
 
     /// Triples pending per slot before a drain; small enough to stay
@@ -54,9 +54,10 @@ public:
     void check(std::size_t slot, std::size_t tag, const EbvTransaction& tx,
                std::size_t input_index, const TxSighashCache* cache = nullptr);
 
-    /// Drain every slot's pending batch. Call once after the parallel
-    /// barrier, single-threaded; check() must not run concurrently.
-    void flush_all();
+    /// Drain slot `slot_index`'s pending batch. Call after the parallel
+    /// barrier, once per slot; distinct slots may drain concurrently, but
+    /// check() must not run at the same time.
+    void flush(std::size_t slot_index);
 
     struct Stats {
         std::uint64_t batches = 0;           ///< verify_batch invocations
@@ -65,7 +66,7 @@ public:
         std::uint64_t fallbacks = 0;         ///< inputs re-run inline
         std::uint64_t cache_skips = 0;       ///< triples skipped via SigCache hits
     };
-    /// Aggregate over all slots; call after flush_all().
+    /// Aggregate over all slots; call after every slot's flush().
     [[nodiscard]] Stats stats() const;
 
 private:
@@ -84,8 +85,6 @@ private:
         std::vector<crypto::VerifyJob> triples;
         Stats stats;
     };
-
-    void flush(Slot& slot);
 
     Resolve resolve_;
     SigCache* sigcache_;

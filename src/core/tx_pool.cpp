@@ -85,7 +85,7 @@ TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams
 
     if (verify_scripts) {
         std::optional<TxSighashCache> cache_storage;
-        if (tx.inputs.size() >= kSighashCacheMinInputs) cache_storage.emplace(tx);
+        if (sighash_template_pays(tx)) cache_storage.emplace(tx);
         const TxSighashCache* cache = cache_storage ? &*cache_storage : nullptr;
         for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
             if (sv_check_input(tx, i, cache, sigcache) != script::ScriptError::kOk)

@@ -30,7 +30,7 @@ struct PipelineOptions {
 };
 
 /// Where and why a batch stopped. `failure` is bit-for-bit the tuple a
-/// serial EbvValidator::connect_block loop reports for the same chain —
+/// serial EbvNode::submit_block loop reports for the same chain —
 /// the pipeline's determinism contract (docs/PIPELINE.md).
 struct PipelineFailure {
     std::size_t block_index = 0;  ///< index into the submitted batch

@@ -1,19 +1,11 @@
 #include "ibd/pipeline.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
-#include "chain/amount.hpp"
-#include "core/sig_cache.hpp"
-#include "core/sighash_cache.hpp"
-#include "core/sv_batcher.hpp"
+#include "core/proof_kernel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -25,89 +17,29 @@ namespace {
 
 using core::BitVectorSet;
 using core::EbvBlock;
-using core::EbvError;
 using core::EbvInput;
-using core::EbvTransaction;
 using core::EbvValidationFailure;
-using core::EvStatus;
-
-constexpr std::size_t kNoFail = std::numeric_limits<std::size_t>::max();
 
 /// Registry handles, resolved once (values survive Registry::reset()).
 struct IbdMetrics {
     obs::Counter& windows;
-    obs::Counter& connects;
-    obs::Counter& rejects;
-    obs::Counter& txs;
-    obs::Counter& inputs;
-    obs::Counter& outputs;
-    obs::Counter& proof_bytes;
-    obs::Counter& pool_tasks;
-    obs::Counter& pool_local_pops;
-    obs::Counter& pool_steals;
-    obs::Counter& pool_steal_attempts;
     obs::Histogram& window_occupancy;
     obs::Histogram& stall_ns;
     obs::Histogram& commit_ns;
-    obs::Histogram& pool_steal_ns;
-    obs::Histogram& pool_barrier_wait_ns;
-    obs::Histogram& pool_wakeup_ns;
     obs::Gauge& blocks_inflight;
 
     static IbdMetrics& get() {
         static IbdMetrics m{
             obs::Registry::global().counter("ebv.ibd.windows"),
-            obs::Registry::global().counter("ebv.block.connects"),
-            obs::Registry::global().counter("ebv.block.rejects"),
-            obs::Registry::global().counter("ebv.block.txs"),
-            obs::Registry::global().counter("ebv.block.inputs"),
-            obs::Registry::global().counter("ebv.block.outputs"),
-            obs::Registry::global().counter("ebv.block.proof_bytes"),
-            obs::Registry::global().counter("ebv.pool.tasks"),
-            obs::Registry::global().counter("ebv.pool.local_pops"),
-            obs::Registry::global().counter("ebv.pool.steals"),
-            obs::Registry::global().counter("ebv.pool.steal_attempts"),
             obs::Registry::global().histogram(
                 "ebv.ibd.window_occupancy",
                 obs::Histogram::exponential_bounds(1, 2.0, 10)),
             obs::Registry::global().histogram("ebv.ibd.stall_ns"),
             obs::Registry::global().histogram("ebv.ibd.commit_ns"),
-            obs::Registry::global().histogram("ebv.pool.steal_ns"),
-            obs::Registry::global().histogram("ebv.pool.barrier_wait_ns"),
-            obs::Registry::global().histogram("ebv.pool.wakeup_ns"),
             obs::Registry::global().gauge("ebv.ibd.blocks_inflight"),
         };
         return m;
     }
-};
-
-std::uint64_t spent_key(std::uint32_t height, std::uint32_t position) {
-    return static_cast<std::uint64_t>(height) << 32 | position;
-}
-
-void cas_min(std::atomic<std::size_t>& target, std::size_t value) {
-    std::size_t cur = target.load(std::memory_order_relaxed);
-    while (value < cur &&
-           !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-    }
-}
-
-/// One input's fused EV+SV job, schedulable out of block order.
-struct ProofJob {
-    std::uint32_t block;        ///< window-relative block index
-    std::uint32_t ordinal;      ///< input ordinal within its block
-    std::uint32_t tx_index;
-    std::uint32_t input_index;
-};
-
-struct Verdict {
-    EvStatus ev = EvStatus::kOk;
-    script::ScriptError script = script::ScriptError::kOk;
-};
-
-/// CAS-min holder that can live in a vector sized at runtime.
-struct AtomicMin {
-    std::atomic<std::size_t> value{kNoFail};
 };
 
 /// Spends recorded by committed blocks, partitioned by status shard,
@@ -156,7 +88,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
     run_span.set_value(static_cast<std::int64_t>(blocks.size()));
 
     const std::size_t W = options_.window == 0 ? 1 : options_.window;
-    const std::size_t slots = pool_ != nullptr ? pool_->thread_count() : 1;
 
     // Spends of already-committed blocks, to be applied inside the next
     // window's parallel pass ("stage 3 joins the parallel region").
@@ -214,318 +145,69 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 break;
             }
         }
-
-        // One fused EV+SV job per input across all `accepted` blocks.
-        std::vector<ProofJob> jobs;
-        std::vector<std::size_t> job_begin(accepted, 0);  // per block, into jobs[]
-        for (std::size_t b = 0; b < accepted; ++b) {
-            job_begin[b] = jobs.size();
-            const EbvBlock& block = window[b];
-            for (std::size_t t = 1; t < block.txs.size(); ++t) {
-                for (std::size_t i = 0; i < block.txs[t].inputs.size(); ++i) {
-                    jobs.push_back(ProofJob{
-                        static_cast<std::uint32_t>(b),
-                        static_cast<std::uint32_t>(jobs.size() - job_begin[b]),
-                        static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(i)});
-                }
-            }
-        }
-        std::vector<Verdict> verdicts(jobs.size());
-        std::vector<AtomicMin> ev_min(accepted);
-        std::vector<AtomicMin> sv_min(accepted);
-        std::atomic<std::size_t> min_fail_block{kNoFail};
+        const std::span<const EbvBlock> checked = window.first(accepted);
+        core::ProofKernel kernel(checked, window_base, params_, validator_);
 
         // Block spans get their ids up front: worker-side detail spans
         // parent under them while the blocks are still mid-validation; the
         // spans themselves are recorded at stage-3 resolution, which is fine
         // — exporters don't require parents to be recorded first.
         std::vector<std::uint64_t> block_span_ids(tracing ? accepted : 0);
-        if (tracing)
-            for (auto& id : block_span_ids) id = obs::next_span_id();
+        for (auto& id : block_span_ids) id = obs::next_span_id();
 
         // Shard-apply jobs for the previous window's spends ride in front of
-        // the proof jobs: indices [0, shard_jobs) apply spent bits while
-        // [shard_jobs, shard_jobs + jobs.size()) check proofs.
+        // the proof jobs in the kernel's parallel pass.
         std::array<std::size_t, BitVectorSet::kShardCount> active_shards{};
         std::size_t shard_jobs = 0;
         for (std::size_t s = 0; s < BitVectorSet::kShardCount; ++s) {
             shard_done[s].store(deferred.by_shard[s].empty(), std::memory_order_relaxed);
             if (!deferred.by_shard[s].empty()) active_shards[shard_jobs++] = s;
         }
-
-        std::vector<std::uint64_t> ev_busy(slots, 0);
-        std::vector<std::uint64_t> sv_busy(slots, 0);
-        std::vector<std::uint64_t> commit_busy(slots, 0);
-
-        // Deferred batched signature checking (docs/CRYPTO.md): SV verdicts
-        // may resolve late (at a batch drain) but land in the same verdict
-        // slots + per-block CAS-mins the inline path uses, so stage-3
-        // resolution is identical either way.
-        const auto resolve_sv = [&](std::size_t tag, script::ScriptError err) {
-            if (err == script::ScriptError::kOk) return;
-            const ProofJob& job = jobs[tag];
-            verdicts[tag].script = err;
-            cas_min(sv_min[job.block].value, job.ordinal);
-            cas_min(min_fail_block, job.block);
-        };
-        std::optional<core::SvBatcher> batcher;
-        if (verify_scripts_ && batch_verify_) batcher.emplace(slots, resolve_sv, sigcache_);
-
-        // Per-transaction sighash templates (core::TxSighashCache), lazily
-        // built by whichever worker first reaches one of the transaction's
-        // inputs and shared by the rest across the window's parallel pass.
-        const bool use_template = verify_scripts_ && sighash_template_;
-        std::vector<std::vector<std::unique_ptr<core::TxSighashCache>>> caches(
-            use_template ? accepted : 0);
-        std::vector<std::unique_ptr<std::once_flag[]>> cache_once(use_template ? accepted : 0);
-        if (use_template) {
-            for (std::size_t b = 0; b < accepted; ++b) {
-                caches[b].resize(window[b].txs.size());
-                cache_once[b] = std::make_unique<std::once_flag[]>(window[b].txs.size());
-            }
-        }
-
-        // Worker-side detail spans (per input / per shard), recorded with an
-        // explicit parent because the enclosing block's span is still open
-        // on the submitting thread. Gated behind the tracer's detail flag.
-        const auto record_detail = [&](const char* name, const char* category,
-                                       std::uint64_t parent, util::Nanoseconds ns,
-                                       std::int64_t value) {
+        const auto apply_shard = [&](std::size_t index) {
+            util::Stopwatch watch;
+            const std::size_t s = active_shards[index];
+            status_.spend_shard(s, deferred.by_shard[s].data(), deferred.by_shard[s].size());
+            shard_done[s].store(true, std::memory_order_relaxed);
+            if (!trace_detail) return;
+            const util::Nanoseconds ns = watch.elapsed_ns();
             obs::Span span;
-            span.name = name;
-            span.category = category;
+            span.name = "ebv.ibd.shard_apply";
+            span.category = "commit";
             span.trace_id = trace_id;
             span.span_id = obs::next_span_id();
-            span.parent_id = parent;
+            span.parent_id = window_span_id;
             span.wall_ns = ns;
             span.start_ns = obs::Tracer::now_ns() - ns;
-            span.value = value;
+            span.value = static_cast<std::int64_t>(s);
             obs::Tracer::global().record(std::move(span));
         };
-
-        const auto pass_body = [&](std::size_t slot, std::size_t index) {
-            if (index < shard_jobs) {
-                // Stage 3 (previous window): sharded spent-bit application.
-                util::Stopwatch watch;
-                const std::size_t s = active_shards[index];
-                status_.spend_shard(s, deferred.by_shard[s].data(),
-                                    deferred.by_shard[s].size());
-                shard_done[s].store(true, std::memory_order_relaxed);
-                const auto shard_ns = watch.elapsed_ns();
-                commit_busy[slot] += static_cast<std::uint64_t>(shard_ns);
-                if (trace_detail)
-                    record_detail("ebv.ibd.shard_apply", "commit", window_span_id,
-                                  shard_ns, static_cast<std::int64_t>(s));
-                return;
-            }
-
-            // Stage 2: fused EV+SV for one input, possibly out of block
-            // order. Skip rules mirror the serial validator's: a job may be
-            // skipped only when a *lower* (block, ordinal) failure is
-            // already recorded, so every verdict the resolution pass reads
-            // was fully evaluated regardless of thread count.
-            const ProofJob& job = jobs[index - shard_jobs];
-            if (job.block > min_fail_block.load(std::memory_order_relaxed)) return;
-            std::atomic<std::size_t>& block_ev_min = ev_min[job.block].value;
-            if (job.ordinal > block_ev_min.load(std::memory_order_relaxed)) return;
-
-            const EbvTransaction& tx = window[job.block].txs[job.tx_index];
-            const EbvInput& in = tx.inputs[job.input_index];
-            const std::uint32_t spending_height =
-                window_base + static_cast<std::uint32_t>(job.block);
-
-            // Inter-block dependency: heights inside the window resolve to
-            // pending (structurally-checked, not-yet-committed) headers.
-            const chain::BlockHeader* header = nullptr;
-            if (in.height < window_base) {
-                header = headers_.at(in.height);
-            } else if (in.height < spending_height) {
-                header = &window[in.height - window_base].header;
-            }
-
-            util::Stopwatch watch;
-            const EvStatus ev = core::ev_check_input(in, header, spending_height);
-            const auto ev_ns = watch.elapsed_ns();
-            ev_busy[slot] += static_cast<std::uint64_t>(ev_ns);
-            if (trace_detail)
-                record_detail("ebv.ev.input", "ev", block_span_ids[job.block], ev_ns,
-                              job.ordinal);
-            if (ev != EvStatus::kOk) {
-                verdicts[index - shard_jobs].ev = ev;
-                cas_min(block_ev_min, job.ordinal);
-                cas_min(min_fail_block, job.block);
-                return;
-            }
-
-            if (!verify_scripts_) return;
-            std::atomic<std::size_t>& block_sv_min = sv_min[job.block].value;
-            if (job.ordinal > block_sv_min.load(std::memory_order_relaxed)) return;
-            watch.restart();
-            const core::TxSighashCache* cache = nullptr;
-            if (use_template && tx.inputs.size() >= core::kSighashCacheMinInputs) {
-                std::call_once(cache_once[job.block][job.tx_index], [&] {
-                    caches[job.block][job.tx_index] =
-                        std::make_unique<core::TxSighashCache>(tx);
-                });
-                cache = caches[job.block][job.tx_index].get();
-            }
-            if (batcher) {
-                batcher->check(slot, index - shard_jobs, tx, job.input_index, cache);
-            } else {
-                resolve_sv(index - shard_jobs,
-                           core::sv_check_input(tx, job.input_index, cache, sigcache_));
-            }
-            const auto sv_ns = watch.elapsed_ns();
-            sv_busy[slot] += static_cast<std::uint64_t>(sv_ns);
-            if (trace_detail)
-                record_detail("ebv.sv.input", "sv", block_span_ids[job.block], sv_ns,
-                              job.ordinal);
+        // Inter-block dependency: heights inside the window resolve to
+        // pending (structurally-checked, not-yet-committed) headers.
+        const auto header_at = [&](std::uint32_t h) -> const chain::BlockHeader* {
+            if (h < window_base) return headers_.at(h);
+            return h - window_base < accepted ? &checked[h - window_base].header : nullptr;
         };
 
         // ---- Stage 2 + deferred stage 3: one parallel region ---------------
         m.windows.inc();
         m.window_occupancy.observe(static_cast<std::uint64_t>(accepted));
         m.blocks_inflight.set(static_cast<std::int64_t>(accepted));
-        const std::size_t pass_total = shard_jobs + jobs.size();
         const std::int64_t stall_before_pass = stall_watch.elapsed_ns();
-
-        util::PoolStats pool_before{};
-        std::vector<std::uint64_t> slot_busy_before;
-        if (pool_ != nullptr) {
-            pool_before = pool_->stats();
-            if (tracing) slot_busy_before = pool_->slot_busy_ns();
-        }
         const util::Nanoseconds pass_start_ns = tracing ? obs::Tracer::now_ns() : 0;
-        util::Stopwatch pass_watch;
-        if (pass_total > 0) {
-            if (pool_ != nullptr) {
-                try {
-                    pool_->parallel_for_slots(pass_total, pass_body, &cancel_);
-                } catch (...) {
-                    // A proof body threw (e.g. bad_alloc): committed blocks
-                    // must still end up fully applied before unwinding.
-                    flush_deferred_serial();
-                    m.blocks_inflight.set(0);
-                    throw;
-                }
-            } else {
-                for (std::size_t i = 0; i < pass_total; ++i) {
-                    if (cancel_.cancelled() && i >= shard_jobs) break;
-                    pass_body(0, i);
-                }
-            }
+        core::ProofKernel::PassTimes pass;
+        try {
+            pass = kernel.run(header_at, shard_jobs, apply_shard, block_span_ids, &cancel_);
+        } catch (...) {
+            // A proof body threw (e.g. bad_alloc): committed blocks must
+            // still end up fully applied before unwinding.
+            flush_deferred_serial();
+            m.blocks_inflight.set(0);
+            throw;
         }
-        if (batcher) {
-            // Resolve the below-target remainders before stage 3 reads any
-            // verdict; still SV work, so it stays inside the pass wall.
-            util::Stopwatch flush_watch;
-            batcher->flush_all();
-            sv_busy[0] += static_cast<std::uint64_t>(flush_watch.elapsed_ns());
-        }
-        if (use_template) {
-            static obs::Counter& bytes_saved =
-                obs::Registry::global().counter("ebv.crypto.sighash_bytes_saved");
-            std::uint64_t saved = 0;
-            for (const auto& block_caches : caches)
-                for (const auto& cache : block_caches)
-                    if (cache) saved += cache->bytes_saved();
-            if (saved > 0) bytes_saved.inc(saved);
-        }
-        const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();
-        if (pool_ != nullptr) {
-            const util::PoolStats pool_after = pool_->stats();
-            m.pool_tasks.inc(pool_after.tasks - pool_before.tasks);
-            // `barrier_wait_ns` was exported as ebv.pool.steal_ns before the
-            // stealing scheduler existed; the latter now reports real steal
-            // time (docs/OBSERVABILITY.md).
-            m.pool_barrier_wait_ns.observe(pool_after.barrier_wait_ns -
-                                           pool_before.barrier_wait_ns);
-            m.pool_steal_ns.observe(pool_after.steal_ns - pool_before.steal_ns);
-            m.pool_local_pops.inc(pool_after.local_pops - pool_before.local_pops);
-            m.pool_steals.inc(pool_after.steals - pool_before.steals);
-            m.pool_steal_attempts.inc(pool_after.steal_attempts -
-                                      pool_before.steal_attempts);
-            m.pool_wakeup_ns.observe(pool_after.wakeup_ns - pool_before.wakeup_ns);
-            {
-                // Per-slot queue-depth gauge: peak deque occupancy over the
-                // pass (stealing scheduler; zeros under counter mode).
-                const std::vector<std::uint64_t> queue_peak =
-                    pool_->slot_queue_depth_peak();
-                for (std::size_t s = 0; s < queue_peak.size(); ++s) {
-                    char name[48];
-                    std::snprintf(name, sizeof name, "ebv.pool.queue_depth.slot%zu",
-                                  s);
-                    obs::Registry::global().gauge(name).set(
-                        static_cast<std::int64_t>(queue_peak[s]));
-                }
-            }
-            if (tracing) {
-                // Dedicated counter tracks: queue latency this pass and each
-                // slot's utilization (busy/wall, percent) over the pass.
-                obs::Tracer& tracer = obs::Tracer::global();
-                const std::uint64_t wakeups = pool_after.wakeups - pool_before.wakeups;
-                if (wakeups > 0)
-                    tracer.record_counter(
-                        "ebv.pool.wakeup_us",
-                        static_cast<std::int64_t>(
-                            (pool_after.wakeup_ns - pool_before.wakeup_ns) / wakeups /
-                            1000));
-                const std::vector<std::uint64_t> slot_busy_after = pool_->slot_busy_ns();
-                for (std::size_t s = 0;
-                     s < slot_busy_after.size() && s < slot_busy_before.size() &&
-                     pass_wall > 0;
-                     ++s) {
-                    const std::uint64_t busy = slot_busy_after[s] - slot_busy_before[s];
-                    char track[48];
-                    std::snprintf(track, sizeof track, "ebv.pool.util_pct.slot%zu", s);
-                    tracer.record_counter(
-                        track, static_cast<std::int64_t>(
-                                   100.0 * static_cast<double>(busy) /
-                                   static_cast<double>(pass_wall)));
-                }
-                // Peak per-slot deque depth over the pass (stealing
-                // scheduler; all zeros under counter mode).
-                const std::vector<std::uint64_t> queue_peak =
-                    pool_->slot_queue_depth_peak();
-                for (std::size_t s = 0; s < queue_peak.size(); ++s) {
-                    char track[48];
-                    std::snprintf(track, sizeof track, "ebv.pool.queue_depth.slot%zu",
-                                  s);
-                    tracer.record_counter(
-                        track, static_cast<std::int64_t>(queue_peak[s]));
-                }
-            }
-        }
-
-        // Apportion the pass's wall time across EV / SV / commit in
-        // proportion to per-slot busy time, so EbvTimings::total() stays
-        // wall-clock while the overlap is still visible per stage.
-        {
-            std::uint64_t ev_total = 0;
-            std::uint64_t sv_total = 0;
-            std::uint64_t commit_total = 0;
-            for (std::size_t s = 0; s < slots; ++s) {
-                ev_total += ev_busy[s];
-                sv_total += sv_busy[s];
-                commit_total += commit_busy[s];
-            }
-            const std::uint64_t busy_total = ev_total + sv_total + commit_total;
-            if (busy_total > 0) {
-                const auto share = [&](std::uint64_t part) {
-                    return static_cast<util::Nanoseconds>(
-                        static_cast<double>(pass_wall) * static_cast<double>(part) /
-                        static_cast<double>(busy_total));
-                };
-                const util::Nanoseconds ev_share = share(ev_total);
-                const util::Nanoseconds sv_share = share(sv_total);
-                result.timings.ev.wall_ns += ev_share;
-                result.timings.sv.wall_ns += sv_share;
-                result.timings.update.wall_ns += pass_wall - ev_share - sv_share;
-            } else {
-                result.timings.other.wall_ns += pass_wall;
-            }
-            if (commit_total > 0) m.commit_ns.observe(commit_total);
-        }
+        result.timings.ev.wall_ns += pass.ev;
+        result.timings.sv.wall_ns += pass.sv;
+        result.timings.update.wall_ns += pass.prefix;
+        if (pass.prefix_busy_ns > 0) m.commit_ns.observe(pass.prefix_busy_ns);
 
         if (cancel_.cancelled()) {
             // The pass may have skipped both shard and proof chunks: finish
@@ -538,99 +220,25 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         deferred.clear();  // fully applied by the pass
 
         // ---- Stage 3: resolve + commit, serial block order -----------------
-        // Walks each block's inputs in order, interleaving the parallel
-        // pass's EV verdicts with UV (against the pending-spend overlay),
-        // maturity and value rules — exactly the serial validator's
-        // resolution order, so the first failure is the serial one.
+        // The kernel's in-order resolve, with UV against the spends of
+        // blocks committed earlier in this window (the pending overlay), so
+        // the first failure is the serial one.
         stall_watch.restart();
-        DeferredSpends fresh;                          // spends of blocks committed below
-        std::unordered_set<std::uint64_t> overlay_spent;  // this window's committed spends
+        DeferredSpends fresh;          // spends of blocks committed below
+        core::SpentOverlay overlay;    // the same spends, for UV
         bool window_failed = false;
         bool aborted_mid_window = false;
-        for (std::size_t b = 0; b < accepted && !window_failed; ++b) {
+        for (std::size_t b = 0; b < accepted; ++b) {
             if (cancel_.cancelled()) {
                 aborted_mid_window = true;
                 break;
             }
-            const EbvBlock& block = window[b];
+            const EbvBlock& block = checked[b];
             const std::uint32_t height = window_base + static_cast<std::uint32_t>(b);
-            const std::size_t jobs_in_block =
-                (b + 1 < accepted ? job_begin[b + 1] : jobs.size()) - job_begin[b];
-
-            const auto fail = [&](EbvError error, std::size_t t, std::size_t i,
-                                  script::ScriptError script = script::ScriptError::kOk) {
-                result.failure = PipelineFailure{
-                    batch_index + b, height, EbvValidationFailure{error, t, i, script}};
+            if (auto failure = kernel.resolve(b, status_, &overlay, result.timings)) {
+                result.failure = PipelineFailure{batch_index + b, height, *failure};
                 window_failed = true;
-            };
-
-            std::unordered_set<std::uint64_t> spent_in_block;
-            chain::Amount total_fees = 0;
-            std::size_t j = job_begin[b];
-            for (std::size_t t = 1; t < block.txs.size() && !window_failed; ++t) {
-                const EbvTransaction& tx = block.txs[t];
-                chain::Amount value_in = 0;
-                for (std::size_t i = 0; i < tx.inputs.size(); ++i, ++j) {
-                    const EbvInput& in = tx.inputs[i];
-                    if (verdicts[j].ev != EvStatus::kOk) {
-                        fail(core::to_ebv_error(verdicts[j].ev), t, i);
-                        break;
-                    }
-                    // UV: the bit at the authenticated absolute position
-                    // must still be 1 — in the committed set or, for an
-                    // output spent earlier inside this window, not in the
-                    // pending-spend overlay.
-                    const std::uint32_t position = in.absolute_position();
-                    const std::uint64_t key = spent_key(in.height, position);
-                    if (!spent_in_block.insert(key).second) {
-                        fail(EbvError::kDoubleSpendInBlock, t, i);
-                        break;
-                    }
-                    if (overlay_spent.count(key) != 0 ||
-                        !status_.check_unspent(in.height, position)) {
-                        fail(EbvError::kUnspentFailed, t, i);
-                        break;
-                    }
-                    if (in.els.is_coinbase() &&
-                        height < in.height + params_.coinbase_maturity) {
-                        fail(EbvError::kImmatureCoinbaseSpend, t, i);
-                        break;
-                    }
-                    // Mirrors the serial validator's guarded accumulation
-                    // exactly (failure-tuple parity).
-                    if (!chain::add_money(value_in, in.els.outputs[in.out_index].value)) {
-                        fail(EbvError::kValueOutOfRange, t, i);
-                        break;
-                    }
-                }
-                if (window_failed) break;
-                const chain::Amount value_out = tx.total_output_value();
-                if (value_in < value_out) {
-                    fail(EbvError::kNegativeFee, t, 0);
-                    break;
-                }
-                if (!chain::add_money(total_fees, value_in - value_out)) {
-                    fail(EbvError::kValueOutOfRange, t, 0);
-                    break;
-                }
-            }
-            if (window_failed) break;
-
-            const chain::Amount allowed = params_.subsidy_at(height) + total_fees;
-            if (block.txs[0].total_output_value() > allowed) {
-                fail(EbvError::kCoinbaseValueTooHigh, 0, 0);
                 break;
-            }
-
-            // SV verdicts resolve last, as their own phase (serial parity).
-            if (verify_scripts_) {
-                const std::size_t sj = sv_min[b].value.load(std::memory_order_relaxed);
-                if (sj < jobs_in_block) {
-                    const ProofJob& sv_job = jobs[job_begin[b] + sj];
-                    fail(EbvError::kScriptFailure, sv_job.tx_index, sv_job.input_index,
-                         verdicts[job_begin[b] + sj].script);
-                    break;
-                }
             }
 
             // Commit: install header + status vector now; spent bits join
@@ -639,13 +247,11 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             const bool linked = headers_.append(block.header);
             EBV_ENSURES(linked);
             status_.insert_block(height, static_cast<std::uint32_t>(block.output_count()));
-            std::uint64_t proof_bytes = 0;
             for (std::size_t t = 1; t < block.txs.size(); ++t) {
                 for (const EbvInput& in : block.txs[t].inputs) {
                     const std::uint32_t position = in.absolute_position();
                     fresh.add(in.height, position);
-                    overlay_spent.insert(spent_key(in.height, position));
-                    proof_bytes += in.mbr.byte_size() + in.els.serialized_size();
+                    overlay.insert(core::spent_key(in.height, position));
                 }
             }
             on_commit(block, height);
@@ -670,11 +276,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             ++result.connected;
             result.timings.inputs += block.input_count();
             result.timings.outputs += block.output_count();
-            m.connects.inc();
-            m.txs.inc(block.txs.size());
-            m.inputs.inc(block.input_count());
-            m.outputs.inc(block.output_count());
-            m.proof_bytes.inc(proof_bytes);
+            core::publish_block_connected(block);
         }
 
         if (aborted_mid_window) {
@@ -702,19 +304,15 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         const std::int64_t stall_after_pass = stall_watch.elapsed_ns();
         m.stall_ns.observe(static_cast<std::uint64_t>(stall_before_pass + stall_after_pass));
         result.timings.other.wall_ns += stall_before_pass;
-        result.timings.uv.wall_ns += stall_after_pass;
         m.blocks_inflight.set(0);
-
-        if (window_failed) {
-            m.rejects.inc();
-            deferred = std::move(fresh);
-            for (auto& flag : shard_done) flag.store(false, std::memory_order_relaxed);
-            flush_deferred_serial();
-            break;
-        }
 
         deferred = std::move(fresh);
         for (auto& flag : shard_done) flag.store(false, std::memory_order_relaxed);
+        if (window_failed) {
+            core::publish_block_rejected();
+            flush_deferred_serial();
+            break;
+        }
         batch_index += window_len;
     }
 
@@ -725,7 +323,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         all.reserve(deferred.total);
         for (const auto& shard : deferred.by_shard)
             all.insert(all.end(), shard.begin(), shard.end());
-        status_.spend_batch(all, pool_);
+        status_.spend_batch(all, validator_.script_pool);
         deferred.clear();
         const auto ns = watch.elapsed_ns();
         result.timings.update.wall_ns += ns;

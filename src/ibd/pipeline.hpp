@@ -8,13 +8,14 @@
 //
 //   stage 1  structural pass       serial, in block order
 //            (coinbase shape, stake positions, Merkle root, value ranges)
-//   stage 2  fused EV+SV proofs    out of order, all W blocks at once, on
-//                                  util::ThreadPool — plus the *previous*
+//   stage 2  fused EV+SV proofs    out of order, all W blocks at once: the
+//                                  core::ProofKernel pass EbvNode::submit_block
+//                                  runs over one block — plus the *previous*
 //                                  window's sharded spent-bit application,
 //                                  which rides the same parallel region
-//   stage 3  resolve + commit      serial, in block order: UV against the
-//                                  pending-state overlay, value/fee rules,
-//                                  verdict resolution, header/vector install
+//   stage 3  resolve + commit      serial, in block order: the kernel's
+//                                  resolve with UV against the pending-spend
+//                                  overlay, then header/vector install
 //
 // Inter-block dependencies are tracked explicitly: an input in block N+k
 // that spends an output created inside the window resolves its header from
@@ -40,10 +41,6 @@
 #include "ibd/options.hpp"
 #include "util/thread_pool.hpp"
 
-namespace ebv::core {
-class SigCache;
-}  // namespace ebv::core
-
 namespace ebv::ibd {
 
 class Pipeline {
@@ -55,27 +52,17 @@ public:
     /// block reported in BatchResult as never committed — by return.
     using CommitHook = util::FunctionRef<void(const core::EbvBlock&, std::uint32_t)>;
 
-    /// `batch_verify` routes SV through the deferred batched-signature
-    /// path (core::SvBatcher + crypto::verify_batch, docs/CRYPTO.md);
-    /// failure parity with the inline path is preserved by its fallback.
-    /// `sighash_template` shares one O(n) sighash template per transaction
-    /// across its inputs' SV jobs (core::TxSighashCache, docs/CRYPTO.md).
-    /// `sigcache` short-circuits signatures verified at mempool admission
-    /// (core::SigCache, docs/MEMPOOL.md); nullptr = no reuse.
+    /// `validator` configures the proof checks exactly as it does for
+    /// EbvNode::submit_block (core::ProofKernel): its script_pool runs the
+    /// window's parallel pass and the final spent-bit flush.
     Pipeline(const chain::ChainParams& params, chain::HeaderIndex& headers,
              core::BitVectorSet& status, PipelineOptions options,
-             util::ThreadPool* pool, bool verify_scripts = true,
-             bool batch_verify = false, bool sighash_template = true,
-             core::SigCache* sigcache = nullptr)
+             const core::EbvValidatorOptions& validator)
         : params_(params),
           headers_(headers),
           status_(status),
           options_(options),
-          pool_(pool),
-          verify_scripts_(verify_scripts),
-          batch_verify_(batch_verify),
-          sighash_template_(sighash_template),
-          sigcache_(sigcache) {}
+          validator_(validator) {}
 
     /// Validate and connect `blocks` on top of the current tip. Publishes
     /// `ebv.ibd.*` metrics (docs/OBSERVABILITY.md). Not re-entrant.
@@ -95,11 +82,7 @@ private:
     chain::HeaderIndex& headers_;
     core::BitVectorSet& status_;
     PipelineOptions options_;
-    util::ThreadPool* pool_;
-    bool verify_scripts_;
-    bool batch_verify_;
-    bool sighash_template_;
-    core::SigCache* sigcache_;
+    core::EbvValidatorOptions validator_;
     util::CancelToken cancel_;
 };
 

@@ -30,12 +30,7 @@ ibd::BatchResult EbvNode::submit_blocks(std::span<const EbvBlock> blocks) {
         return result;
     }
 
-    ibd::Pipeline pipeline(options_.params, headers_, status_, options,
-                           options_.validator.script_pool,
-                           options_.validator.verify_scripts,
-                           batch_verify_enabled(options_.validator),
-                           sighash_template_enabled(options_.validator),
-                           options_.validator.sigcache);
+    ibd::Pipeline pipeline(options_.params, headers_, status_, options, options_.validator);
     return pipeline.run(blocks, [&](const EbvBlock& block, std::uint32_t height) {
         (void)height;
         output_counts_.push_back(static_cast<std::uint32_t>(block.output_count()));

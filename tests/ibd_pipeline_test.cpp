@@ -153,6 +153,47 @@ TEST_F(IbdPipeline, ValidChainMatchesSerialAcrossWindowsAndThreads) {
     EXPECT_GT(obs::Registry::global().counter("ebv.ibd.windows").value(), windows_before);
 }
 
+TEST_F(IbdPipeline, SerialAndPipelinedPublishTheSameBlockCounters) {
+    // Both connect paths run the one proof-check kernel, so syncing the
+    // same valid chain must move the per-block counters identically.
+    const char* const kCounters[] = {
+        "ebv.block.connects", "ebv.block.txs",         "ebv.block.inputs",
+        "ebv.block.outputs",  "ebv.block.proof_bytes", "ebv.crypto.sighash_bytes_saved",
+    };
+    const auto deltas = [&](auto&& sync) {
+        std::vector<std::uint64_t> before;
+        for (const char* name : kCounters)
+            before.push_back(obs::Registry::global().counter(name).value());
+        sync();
+        std::vector<std::uint64_t> out;
+        for (std::size_t i = 0; i < std::size(kCounters); ++i)
+            out.push_back(obs::Registry::global().counter(kCounters[i]).value() - before[i]);
+        return out;
+    };
+
+    const std::vector<std::uint64_t> serial = deltas([&] {
+        core::EbvNodeOptions options;
+        options.params = gen_options_.params;
+        core::EbvNode node(options);
+        for (const core::EbvBlock& block : chain_) ASSERT_TRUE(node.submit_block(block));
+    });
+    ASSERT_EQ(serial[0], chain_.size());
+    ASSERT_GT(serial[2], 0u) << "chain has no inputs";
+    ASSERT_GT(serial[5], 0u) << "chain has no multi-input transaction";
+
+    for (const std::size_t window : {1u, 16u}) {
+        for (const std::size_t threads : {1u, 4u}) {
+            util::ThreadPool pool(threads);
+            const std::vector<std::uint64_t> piped = deltas([&] {
+                EXPECT_TRUE(run_batch(chain_, &pool, true, window).ok());
+            });
+            for (std::size_t i = 0; i < std::size(kCounters); ++i)
+                EXPECT_EQ(serial[i], piped[i]) << kCounters[i] << " window=" << window
+                                               << " threads=" << threads;
+        }
+    }
+}
+
 TEST_F(IbdPipeline, BadSignatureRejectsIdentically) {
     std::vector<core::EbvBlock> blocks = chain_;
     const std::size_t k = block_with_inputs(kChainLen / 2);
@@ -302,7 +343,9 @@ TEST_F(IbdPipeline, CancelUnwindsWindowAndResumesCleanly) {
 
     chain::HeaderIndex headers;
     core::BitVectorSet status;
-    ibd::Pipeline pipeline(gen_options_.params, headers, status, options, &pool);
+    core::EbvValidatorOptions validator;
+    validator.script_pool = &pool;
+    ibd::Pipeline pipeline(gen_options_.params, headers, status, options, validator);
 
     std::size_t commits = 0;
     const ibd::BatchResult first =

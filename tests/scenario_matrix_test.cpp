@@ -57,8 +57,6 @@ private:
 void scrub_env() {
     ::unsetenv("EBV_PIPELINE");
     ::unsetenv("EBV_PIPELINE_WINDOW");
-    ::unsetenv("EBV_BATCH_VERIFY");
-    ::unsetenv("EBV_SIGHASH_TEMPLATE");
 }
 
 workload::GeneratorOptions matrix_gen_options(std::uint64_t seed) {
