@@ -291,7 +291,7 @@ int main() {
     // TxSighashCache at or above it). The single-input row therefore runs
     // identical code on both sides — the "no regression" statement is
     // structural, not statistical.
-    std::printf("\nSighash-phase isolation — %u-tx batches, min of 5 reps\n",
+    std::printf("\nSighash-phase isolation — %zu-tx batches, min of 5 reps\n",
                 kPhaseTxs);
     std::printf("%-8s %12s %12s %10s\n", "inputs", "naive_ms", "template_ms",
                 "speedup");

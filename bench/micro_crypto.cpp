@@ -10,7 +10,9 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/parse_memo.hpp"
+#include "crypto/secp256k1.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/u256.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -107,6 +109,63 @@ void BM_MerkleBranchVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleBranchVerify)->Arg(16)->Arg(256)->Arg(2048);
 
+// ---- Field and scalar arithmetic -------------------------------------------
+// The operations the curve code is built from. Each iteration feeds its
+// result back in, so the rows measure latency, not throughput.
+
+crypto::U256 random_below(util::Rng& rng, const crypto::ModArith& m) {
+    crypto::U256 v;
+    for (auto& limb : v.limbs) limb = rng.next();
+    v = m.reduce(v);
+    return v.is_zero() ? crypto::U256::one() : v;
+}
+
+void BM_FieldMul(benchmark::State& state) {
+    const crypto::ModArith& f = crypto::secp256k1::field();
+    util::Rng rng(12);
+    crypto::U256 x = random_below(rng, f);
+    const crypto::U256 y = random_below(rng, f);
+    for (auto _ : state) {
+        x = f.mul(x, y);
+        benchmark::DoNotOptimize(x);
+    }
+}
+BENCHMARK(BM_FieldMul);
+
+void BM_FieldSqr(benchmark::State& state) {
+    const crypto::ModArith& f = crypto::secp256k1::field();
+    util::Rng rng(13);
+    crypto::U256 x = random_below(rng, f);
+    for (auto _ : state) {
+        x = f.sqr(x);
+        benchmark::DoNotOptimize(x);
+    }
+}
+BENCHMARK(BM_FieldSqr);
+
+void BM_FieldInverse(benchmark::State& state) {
+    const crypto::ModArith& f = crypto::secp256k1::field();
+    util::Rng rng(14);
+    crypto::U256 x = random_below(rng, f);
+    for (auto _ : state) {
+        x = f.inverse(x);
+        benchmark::DoNotOptimize(x);
+    }
+}
+BENCHMARK(BM_FieldInverse);
+
+// s⁻¹ mod n: one per verify, one k⁻¹ per signature.
+void BM_ScalarInverse(benchmark::State& state) {
+    const crypto::ModArith& n = crypto::secp256k1::order();
+    util::Rng rng(15);
+    crypto::U256 x = random_below(rng, n);
+    for (auto _ : state) {
+        x = n.inverse(x);
+        benchmark::DoNotOptimize(x);
+    }
+}
+BENCHMARK(BM_ScalarInverse);
+
 void BM_EcdsaSign(benchmark::State& state) {
     util::Rng rng(5);
     const auto key = crypto::PrivateKey::generate(rng);
@@ -164,6 +223,16 @@ void BM_PubkeyParse(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PubkeyParse);
+
+// Point decompression alone: the square root that recovers y from x.
+void BM_PubkeyDecompress(benchmark::State& state) {
+    util::Rng rng(7);
+    const auto bytes = crypto::PrivateKey::generate(rng).public_key().serialize();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crypto::secp256k1::parse_compressed(bytes));
+    }
+}
+BENCHMARK(BM_PubkeyDecompress);
 
 void BM_PubkeyParseMemo(benchmark::State& state) {
     util::Rng rng(7);

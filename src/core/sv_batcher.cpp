@@ -52,7 +52,6 @@ void SvBatcher::check(std::size_t slot_index, std::size_t tag, const EbvTransact
         // The script failed even with optimistic signature results; the
         // inline error may differ (an optimistic `true` can steer
         // conditionals), so re-run for the authoritative verdict.
-        ++slot.stats.fallbacks;
         CryptoMetrics::get().batch_fallbacks.inc();
         resolve_(tag, sv_check_input(tx, input_index, cache, sigcache_));
         return;
@@ -69,7 +68,6 @@ void SvBatcher::check(std::size_t slot_index, std::size_t tag, const EbvTransact
             if (&collected[kept] != &job) collected[kept] = std::move(job);
             ++kept;
         }
-        slot.stats.cache_skips += collected.size() - kept;
         collected.resize(kept);
         if (collected.empty()) {
             resolve_(tag, script::ScriptError::kOk);
@@ -100,9 +98,6 @@ void SvBatcher::flush(std::size_t slot_index) {
         for (std::size_t j = 0; j < slot.triples.size(); ++j)
             if (verdicts[j]) sigcache_->insert(slot.triples[j]);
     }
-    ++slot.stats.batches;
-    slot.stats.signatures += slot.triples.size();
-    slot.stats.inversions_saved += batch_stats.inversions_saved;
     m.batch_size.observe(static_cast<std::uint64_t>(slot.triples.size()));
     m.inversions_saved.inc(batch_stats.inversions_saved);
 
@@ -115,25 +110,12 @@ void SvBatcher::flush(std::size_t slot_index) {
             // genuine: an inline run takes the same path and succeeds.
             resolve_(p.tag, script::ScriptError::kOk);
         } else {
-            ++slot.stats.fallbacks;
             m.batch_fallbacks.inc();
             resolve_(p.tag, sv_check_input(*p.tx, p.input_index, p.cache, sigcache_));
         }
     }
     slot.pending.clear();
     slot.triples.clear();
-}
-
-SvBatcher::Stats SvBatcher::stats() const {
-    Stats total;
-    for (const Slot& slot : slots_) {
-        total.batches += slot.stats.batches;
-        total.signatures += slot.stats.signatures;
-        total.inversions_saved += slot.stats.inversions_saved;
-        total.fallbacks += slot.stats.fallbacks;
-        total.cache_skips += slot.stats.cache_skips;
-    }
-    return total;
 }
 
 }  // namespace ebv::core

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/ebv_transaction.hpp"
@@ -59,16 +58,6 @@ public:
     /// check() must not run at the same time.
     void flush(std::size_t slot_index);
 
-    struct Stats {
-        std::uint64_t batches = 0;           ///< verify_batch invocations
-        std::uint64_t signatures = 0;        ///< triples drained through batches
-        std::uint64_t inversions_saved = 0;  ///< amortized modular inversions
-        std::uint64_t fallbacks = 0;         ///< inputs re-run inline
-        std::uint64_t cache_skips = 0;       ///< triples skipped via SigCache hits
-    };
-    /// Aggregate over all slots; call after every slot's flush().
-    [[nodiscard]] Stats stats() const;
-
 private:
     struct Pending {
         std::size_t tag;
@@ -83,7 +72,6 @@ private:
     struct alignas(64) Slot {
         std::vector<Pending> pending;
         std::vector<crypto::VerifyJob> triples;
-        Stats stats;
     };
 
     Resolve resolve_;

@@ -192,10 +192,7 @@ bool PublicKey::verify(const Hash256& msg_hash, const Signature& sig) const {
     const U256 u1 = n.mul(z, s_inv);
     const U256 u2 = n.mul(sig.r, s_inv);
 
-    const secp256k1::Point R = secp256k1::multiply_double_generator(point_, u1, u2);
-    if (R.infinity) return false;
-
-    return n.reduce(R.x) == sig.r;
+    return secp256k1::double_generator_x_equals(point_, u1, u2, sig.r);
 }
 
 std::optional<PrivateKey> PrivateKey::from_bytes(util::ByteSpan bytes32) {

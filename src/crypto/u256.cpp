@@ -7,7 +7,7 @@
 
 namespace ebv::crypto {
 
-using u128 = unsigned __int128;
+using detail::u128;
 
 U256 U256::from_be_bytes(util::ByteSpan bytes32) {
     EBV_EXPECTS(bytes32.size() == 32);
@@ -39,128 +39,66 @@ U256 U256::from_hex(std::string_view hex64) {
     return v;
 }
 
-bool u256_less(const U256& a, const U256& b) {
-    for (int i = 3; i >= 0; --i) {
-        if (a.limbs[i] != b.limbs[i]) return a.limbs[i] < b.limbs[i];
-    }
-    return false;
-}
-
-std::uint64_t u256_add(const U256& a, const U256& b, U256& out) {
-    u128 carry = 0;
-    for (int i = 0; i < 4; ++i) {
-        const u128 sum = static_cast<u128>(a.limbs[i]) + b.limbs[i] + carry;
-        out.limbs[i] = static_cast<std::uint64_t>(sum);
-        carry = sum >> 64;
-    }
-    return static_cast<std::uint64_t>(carry);
-}
-
-std::uint64_t u256_sub(const U256& a, const U256& b, U256& out) {
-    std::uint64_t borrow = 0;
-    for (int i = 0; i < 4; ++i) {
-        const u128 diff = static_cast<u128>(a.limbs[i]) - b.limbs[i] - borrow;
-        out.limbs[i] = static_cast<std::uint64_t>(diff);
-        borrow = static_cast<std::uint64_t>((diff >> 64) & 1);
-    }
-    return borrow;
-}
-
-void u256_mul_wide(const U256& a, const U256& b, std::uint64_t out[8]) {
-    for (int i = 0; i < 8; ++i) out[i] = 0;
-    for (int i = 0; i < 4; ++i) {
-        u128 carry = 0;
-        for (int j = 0; j < 4; ++j) {
-            const u128 cur =
-                static_cast<u128>(a.limbs[i]) * b.limbs[j] + out[i + j] + carry;
-            out[i + j] = static_cast<std::uint64_t>(cur);
-            carry = cur >> 64;
-        }
-        out[i + 4] = static_cast<std::uint64_t>(carry);
-    }
-}
-
 ModArith::ModArith(const U256& modulus) : m_(modulus) {
     // complement = 2^256 - m, computed as (~m) + 1 over 4 limbs.
     U256 not_m;
     for (int i = 0; i < 4; ++i) not_m.limbs[i] = ~m_.limbs[i];
     u256_add(not_m, U256::one(), complement_);
-    // The folding reduction below converges only when the complement is
-    // small; both secp256k1 moduli have complements under 2^130. Anything
-    // below 2^192 converges geometrically.
-    EBV_EXPECTS(complement_.limbs[3] == 0);
     EBV_EXPECTS(m_.limbs[3] >= (1ULL << 63));  // m > 2^255
-}
-
-U256 ModArith::reduce(const U256& a) const {
-    U256 out = a;
-    while (!u256_less(out, m_)) u256_sub(out, m_, out);
-    return out;
-}
-
-U256 ModArith::add(const U256& a, const U256& b) const {
-    U256 sum;
-    const std::uint64_t carry = u256_add(a, b, sum);
-    if (carry) {
-        // sum overflowed 2^256: true value is sum + 2^256 ≡ sum + complement.
-        // complement < 2^130 so this addition cannot overflow again after
-        // one further fold.
-        std::uint64_t carry2 = u256_add(sum, complement_, sum);
-        if (carry2) u256_add(sum, complement_, sum);
-    }
-    return reduce(sum);
-}
-
-U256 ModArith::sub(const U256& a, const U256& b) const {
-    U256 diff;
-    const std::uint64_t borrow = u256_sub(a, b, diff);
-    if (borrow) u256_add(diff, m_, diff);
-    return reduce(diff);
+    // reduce_wide's fixed fold count holds for C < 2^160. Both secp256k1
+    // moduli qualify: p's complement is one limb, n's is 129 bits.
+    EBV_EXPECTS(complement_.limbs[3] == 0 && complement_.limbs[2] < (1ULL << 32));
+    one_limb_complement_ = (complement_.limbs[1] | complement_.limbs[2]) == 0;
 }
 
 U256 ModArith::neg(const U256& a) const {
-    if (a.is_zero()) return a;
+    const U256 r = reduce(a);
+    if (r.is_zero()) return r;
     U256 out;
-    u256_sub(m_, reduce(a), out);
+    u256_sub(m_, r, out);
     return out;
 }
 
-U256 ModArith::reduce_wide(const std::uint64_t limbs[8]) const {
-    std::uint64_t acc[8];
-    for (int i = 0; i < 8; ++i) acc[i] = limbs[i];
+namespace {
 
-    auto high_is_zero = [&] { return (acc[4] | acc[5] | acc[6] | acc[7]) == 0; };
-
-    while (!high_is_zero()) {
-        const U256 hi{{acc[4], acc[5], acc[6], acc[7]}};
-        const U256 lo{{acc[0], acc[1], acc[2], acc[3]}};
-
-        // acc = hi * complement + lo. With complement < 2^130 the product is
-        // at most ~2^386, so the loop shrinks the high half geometrically.
-        std::uint64_t prod[8];
-        u256_mul_wide(hi, complement_, prod);
-
+/// r[0..7) = lo[0..4) + x[0..4) · c[0..3). The caller's bounds guarantee
+/// the sum fits in seven limbs.
+void mul_add_4x3(const std::uint64_t lo[4], const std::uint64_t x[4],
+                 const std::uint64_t c[3], std::uint64_t r[7]) {
+    for (int i = 0; i < 7; ++i) r[i] = 0;
+    for (int i = 0; i < 4; ++i) {
         u128 carry = 0;
-        for (int i = 0; i < 4; ++i) {
-            const u128 sum = static_cast<u128>(prod[i]) + lo.limbs[i] + carry;
-            acc[i] = static_cast<std::uint64_t>(sum);
-            carry = sum >> 64;
+        for (int j = 0; j < 3; ++j) {
+            const u128 cur = static_cast<u128>(x[i]) * c[j] + r[i + j] + carry;
+            r[i + j] = static_cast<std::uint64_t>(cur);
+            carry = cur >> 64;
         }
-        for (int i = 4; i < 8; ++i) {
-            const u128 sum = static_cast<u128>(prod[i]) + carry;
-            acc[i] = static_cast<std::uint64_t>(sum);
-            carry = sum >> 64;
-        }
-        EBV_ASSERT(carry == 0);
+        r[i + 3] = static_cast<std::uint64_t>(carry);
     }
-
-    return reduce(U256{{acc[0], acc[1], acc[2], acc[3]}});
+    u128 carry = 0;
+    for (int i = 0; i < 7; ++i) {
+        const u128 sum = static_cast<u128>(r[i]) + (i < 4 ? lo[i] : 0) + carry;
+        r[i] = static_cast<std::uint64_t>(sum);
+        carry = sum >> 64;
+    }
 }
 
-U256 ModArith::mul(const U256& a, const U256& b) const {
-    std::uint64_t wide[8];
-    u256_mul_wide(a, b, wide);
-    return reduce_wide(wide);
+}  // namespace
+
+U256 ModArith::reduce_wide_multi_limb(const std::uint64_t w[8]) const {
+    // n: C < 2^160. Fold 1 leaves t < 2^417, fold 2 t < 2^322, fold 3
+    // t < 2^256 + 2^226; the last carry bit comes back as C.
+    std::uint64_t t[7];
+    std::uint64_t u[7];
+    const std::uint64_t* c = complement_.limbs.data();
+    mul_add_4x3(w, w + 4, c, t);
+    const std::uint64_t hi2[4] = {t[4], t[5], t[6], 0};
+    mul_add_4x3(t, hi2, c, u);
+    const std::uint64_t hi3[4] = {u[4], 0, 0, 0};
+    mul_add_4x3(u, hi3, c, t);
+    U256 out{{t[0], t[1], t[2], t[3]}};
+    if (t[4] != 0) u256_add(out, complement_, out);
+    return reduce(out);
 }
 
 U256 ModArith::pow(const U256& base, const U256& exponent) const {
@@ -181,11 +119,60 @@ U256 ModArith::pow(const U256& base, const U256& exponent) const {
     return started ? result : U256::one();
 }
 
+namespace {
+
+/// v >>= shift for shift in [1, 63], with `top` shifted in from above.
+void shift_right(U256& v, unsigned shift, std::uint64_t top = 0) {
+    for (int i = 0; i < 3; ++i)
+        v.limbs[i] = (v.limbs[i] >> shift) | (v.limbs[i + 1] << (64 - shift));
+    v.limbs[3] = (v.limbs[3] >> shift) | (top << (64 - shift));
+}
+
+/// x / 2 mod m for odd m and x < m: (x + m) / 2 when x is odd.
+void halve_mod(U256& x, const U256& m) {
+    const std::uint64_t carry = x.is_odd() ? u256_add(x, m, x) : 0;
+    shift_right(x, 1, carry);
+}
+
+/// Strip the trailing zero bits of v (nonzero), halving x mod m once per bit
+/// so that x·a ≡ v (mod m) keeps holding.
+void strip_twos(U256& v, U256& x, const U256& m) {
+    while (v.limbs[0] == 0) {  // whole zero limbs first
+        v.limbs = {v.limbs[1], v.limbs[2], v.limbs[3], 0};
+        for (int i = 0; i < 64; ++i) halve_mod(x, m);
+    }
+    const auto tz = static_cast<unsigned>(__builtin_ctzll(v.limbs[0]));
+    if (tz == 0) return;
+    shift_right(v, tz);
+    for (unsigned i = 0; i < tz; ++i) halve_mod(x, m);
+}
+
+}  // namespace
+
 U256 ModArith::inverse(const U256& a) const {
-    EBV_EXPECTS(!reduce(a).is_zero());
-    U256 exp;
-    u256_sub(m_, U256::from_u64(2), exp);
-    return pow(a, exp);
+    // Variable-time binary extended GCD (Stein): keeps x1·a ≡ u and
+    // x2·a ≡ v (mod m) while driving u or v down to gcd(a, m) = 1. Needs m
+    // odd and a coprime to m — true for every nonzero a when m is prime.
+    U256 u = reduce(a);
+    EBV_EXPECTS(!u.is_zero());
+    U256 v = m_;
+    U256 x1 = U256::one();
+    U256 x2 = U256::zero();
+    const U256 one = U256::one();
+    for (;;) {
+        strip_twos(u, x1, m_);
+        if (u == one) return x1;
+        strip_twos(v, x2, m_);
+        if (v == one) return x2;
+        // Both odd; the difference is even and shrinks on the next strip.
+        if (u256_less(u, v)) {
+            u256_sub(v, u, v);
+            x2 = sub(x2, x1);
+        } else {
+            u256_sub(u, v, u);
+            x1 = sub(x1, x2);
+        }
+    }
 }
 
 void ModArith::inverse_batch(U256* values, std::size_t n) const {

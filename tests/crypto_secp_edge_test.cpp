@@ -1,6 +1,8 @@
 // Edge cases of the curve and signature layers beyond the happy path.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "crypto/ecdsa.hpp"
 #include "crypto/secp256k1.hpp"
 #include "util/rng.hpp"
@@ -67,6 +69,49 @@ TEST(SecpEdge, XBeyondFieldRejected) {
     buf[0] = 0x02;
     k1::field().modulus().to_be_bytes({buf + 1, 32});  // x == p
     EXPECT_FALSE(k1::parse_compressed({buf, 33}).has_value());
+}
+
+TEST(SecpEdge, ProjectiveXCheckTakesRPlusNBranch) {
+    // A curve point whose affine x lies in [n, p): x mod n == x - n, so the
+    // check must accept r = x - n through the (r + n)·Z² == X branch.
+    const ModArith& f = k1::field();
+    const U256& n = k1::order().modulus();
+    std::optional<k1::Point> point;
+    for (std::uint64_t k = 1; !point; ++k) {
+        U256 x;
+        u256_add(n, U256::from_u64(k), x);
+        std::uint8_t buf[33];
+        buf[0] = 0x02;
+        x.to_be_bytes({buf + 1, 32});
+        point = k1::parse_compressed({buf, 33});
+    }
+    ASSERT_FALSE(u256_less(point->x, n));
+
+    // Jacobian (X, Y, Z) = (x·Z², y·Z³, Z) with Z != 1.
+    const U256 z = U256::from_hex(
+        "1b84c5567b126440995d3ed5aaba0565d71e1834604819ff9c17f5e9d5dd078f");
+    const U256 zz = f.sqr(z);
+    const U256 jx = f.mul(point->x, zz);
+
+    U256 r;
+    u256_sub(point->x, n, r);
+    EXPECT_TRUE(k1::detail::jacobian_x_mod_n_equals(jx, z, r));
+    EXPECT_FALSE(k1::detail::jacobian_x_mod_n_equals(jx, z, point->x));  // r >= n
+    U256 r_next;
+    u256_add(r, U256::one(), r_next);
+    EXPECT_FALSE(k1::detail::jacobian_x_mod_n_equals(jx, z, r_next));
+    // The Z = 1 form agrees.
+    EXPECT_TRUE(k1::detail::jacobian_x_mod_n_equals(point->x, U256::one(), r));
+}
+
+TEST(SecpEdge, ProjectiveXCheckDirectBranch) {
+    // x < n: only r = x matches, and r + n (which exceeds p) is never tried.
+    const ModArith& f = k1::field();
+    const k1::Point g = k1::generator();
+    const U256 z = U256::from_u64(0x1234567);
+    const U256 jx = f.mul(g.x, f.sqr(z));
+    EXPECT_TRUE(k1::detail::jacobian_x_mod_n_equals(jx, z, g.x));
+    EXPECT_FALSE(k1::detail::jacobian_x_mod_n_equals(jx, z, f.add(g.x, U256::one())));
 }
 
 TEST(EcdsaEdge, SignaturesAreLowSNormalized) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "crypto/secp256k1.hpp"
 #include "crypto/u256.hpp"
 #include "util/rng.hpp"
@@ -159,6 +162,167 @@ INSTANTIATE_TEST_SUITE_P(
         "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
         // group order n
         "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"));
+
+// ---- Differential test against a slow reference ----------------------------
+// The reference shares no code with ModArith: products are schoolbook over
+// 32-bit digits, reduction is bit-by-bit (shift in one bit, subtract m when
+// the remainder reaches it), and inverses are Fermat powers built from the
+// reference multiply.
+
+using Wide = std::array<std::uint64_t, 8>;
+
+Wide ref_product(const U256& a, const U256& b) {
+    std::uint32_t x[8], y[8];
+    for (int i = 0; i < 4; ++i) {
+        x[2 * i] = static_cast<std::uint32_t>(a.limbs[i]);
+        x[2 * i + 1] = static_cast<std::uint32_t>(a.limbs[i] >> 32);
+        y[2 * i] = static_cast<std::uint32_t>(b.limbs[i]);
+        y[2 * i + 1] = static_cast<std::uint32_t>(b.limbs[i] >> 32);
+    }
+    std::uint64_t digits[16] = {};
+    for (int i = 0; i < 8; ++i) {
+        std::uint64_t carry = 0;
+        for (int j = 0; j < 8; ++j) {
+            const std::uint64_t cur =
+                static_cast<std::uint64_t>(x[i]) * y[j] + digits[i + j] + carry;
+            digits[i + j] = cur & 0xffffffffULL;
+            carry = cur >> 32;
+        }
+        digits[i + 8] = carry;
+    }
+    Wide out{};
+    for (int i = 0; i < 8; ++i) out[i] = digits[2 * i] | digits[2 * i + 1] << 32;
+    return out;
+}
+
+/// value mod m, one bit at a time from the top.
+U256 ref_reduce(const Wide& value, const U256& m) {
+    U256 r = U256::zero();
+    for (int bit = 511; bit >= 0; --bit) {
+        // r = 2r + bit; r < m keeps 2r + 1 below 2m < 2^257.
+        const std::uint64_t top = r.limbs[3] >> 63;
+        for (int i = 3; i > 0; --i) r.limbs[i] = r.limbs[i] << 1 | r.limbs[i - 1] >> 63;
+        r.limbs[0] = r.limbs[0] << 1 | ((value[bit / 64] >> (bit % 64)) & 1);
+        if (top != 0 || !u256_less(r, m)) u256_sub(r, m, r);
+    }
+    return r;
+}
+
+Wide widen(const U256& a, std::uint64_t carry = 0) {
+    return Wide{a.limbs[0], a.limbs[1], a.limbs[2], a.limbs[3], carry, 0, 0, 0};
+}
+
+U256 ref_mul(const U256& a, const U256& b, const U256& m) {
+    return ref_reduce(ref_product(a, b), m);
+}
+
+U256 ref_add(const U256& a, const U256& b, const U256& m) {
+    U256 sum;
+    const std::uint64_t carry = u256_add(a, b, sum);
+    return ref_reduce(widen(sum, carry), m);
+}
+
+U256 ref_sub(const U256& a, const U256& b, const U256& m) {
+    const U256 x = ref_reduce(widen(a), m);
+    const U256 y = ref_reduce(widen(b), m);
+    U256 out;
+    if (u256_sub(x, y, out)) u256_add(out, m, out);  // x - y + m, wraps to the true value
+    return out;
+}
+
+U256 ref_pow(const U256& base, const U256& exponent, const U256& m) {
+    U256 acc = U256::one();
+    for (int bit = 255; bit >= 0; --bit) {
+        acc = ref_mul(acc, acc, m);
+        if (exponent.bit(static_cast<unsigned>(bit))) acc = ref_mul(acc, base, m);
+    }
+    return acc;
+}
+
+/// Edge inputs for modulus m: 0, 1, m-1, m, m+1, 2^256-1, and values in
+/// [m, 2^256) — the range unreduced add/sub results land in.
+std::vector<U256> edge_inputs(const U256& m, util::Rng& rng) {
+    U256 max256;
+    for (auto& limb : max256.limbs) limb = ~0ULL;
+    U256 m_minus_1, m_plus_1, complement;
+    u256_sub(m, U256::one(), m_minus_1);
+    u256_add(m, U256::one(), m_plus_1);
+    u256_sub(max256, m, complement);  // 2^256 - 1 - m
+    std::vector<U256> out = {U256::zero(), U256::one(), m_minus_1, m, m_plus_1, max256};
+    for (int i = 0; i < 4; ++i) {
+        // m + (random mod (2^256 - m)), by folding a random value below C.
+        U256 offset = random_u256(rng);
+        offset.limbs[3] = 0;
+        offset.limbs[2] &= complement.limbs[2];
+        if (!u256_less(offset, complement)) offset = complement;
+        U256 v;
+        u256_add(m, offset, v);
+        out.push_back(v);
+    }
+    return out;
+}
+
+TEST_P(ModArithAgainstReference, DifferentialAgainstSlowReference) {
+    const ModArith m = arith();
+    const U256& mod = m.modulus();
+    util::Rng rng(17);
+    std::vector<U256> inputs = edge_inputs(mod, rng);
+    for (int i = 0; i < 12; ++i) inputs.push_back(random_u256(rng));
+
+    for (const U256& a : inputs) {
+        EXPECT_EQ(m.reduce(a), ref_reduce(widen(a), mod));
+        EXPECT_EQ(m.neg(a), ref_sub(U256::zero(), a, mod));
+        EXPECT_EQ(m.sqr(a), ref_mul(a, a, mod));
+        for (const U256& b : inputs) {
+            EXPECT_EQ(m.mul(a, b), ref_mul(a, b, mod));
+            EXPECT_EQ(m.add(a, b), ref_add(a, b, mod));
+            EXPECT_EQ(m.sub(a, b), ref_sub(a, b, mod));
+            const Wide wide = ref_product(a, b);
+            EXPECT_EQ(m.reduce_wide(wide.data()), ref_reduce(wide, mod));
+        }
+    }
+
+    // reduce_wide on 512-bit values that are not products.
+    std::vector<Wide> wides = {Wide{}, Wide{1, 0, 0, 0, 0, 0, 0, 0}};
+    Wide all_ones;
+    all_ones.fill(~0ULL);
+    wides.push_back(all_ones);
+    wides.push_back(Wide{0, 0, 0, 0, ~0ULL, ~0ULL, ~0ULL, ~0ULL});
+    for (int i = 0; i < 20; ++i) {
+        Wide w;
+        for (auto& limb : w) limb = rng.next();
+        wides.push_back(w);
+    }
+    for (const Wide& w : wides) EXPECT_EQ(m.reduce_wide(w.data()), ref_reduce(w, mod));
+
+    // inverse against the Fermat power a^(m-2).
+    U256 exponent;
+    u256_sub(mod, U256::from_u64(2), exponent);
+    for (const U256& a : inputs) {
+        const U256 reduced = ref_reduce(widen(a), mod);
+        if (reduced.is_zero()) continue;
+        EXPECT_EQ(m.inverse(a), ref_pow(reduced, exponent, mod));
+    }
+}
+
+TEST(ModArith, FieldSqrtMatchesPow) {
+    const ModArith& f = secp256k1::field();
+    // (p + 1) / 4
+    U256 exponent;
+    u256_add(f.modulus(), U256::one(), exponent);
+    for (int i = 0; i < 4; ++i) {
+        exponent.limbs[i] >>= 2;
+        if (i < 3) exponent.limbs[i] |= exponent.limbs[i + 1] << 62;
+    }
+    util::Rng rng(18);
+    std::vector<U256> inputs = edge_inputs(f.modulus(), rng);
+    for (int i = 0; i < 30; ++i) inputs.push_back(random_u256(rng));
+    for (const U256& a : inputs) {
+        EXPECT_EQ(secp256k1::field_sqrt(a), f.pow(a, exponent));
+        EXPECT_EQ(secp256k1::field_sqrt(a), ref_pow(ref_reduce(widen(a), f.modulus()),
+                                                    exponent, f.modulus()));
+    }
+}
 
 TEST(ModArith, ReduceWideHandlesMaxValue) {
     const ModArith f = secp256k1::field();
