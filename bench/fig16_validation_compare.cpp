@@ -120,46 +120,38 @@ int main() {
                 best_reduction);
 
     // ---- Thread-count sweep: fused parallel EV+SV -------------------------
-    // A fresh node per (thread count, batch mode) replays the prefix, then
-    // the same ten measured blocks; ev_sv_ms sums the proof-bound
-    // (parallelized) phases. The batched rows defer OP_CHECKSIG triples into
-    // crypto::verify_batch.
+    // A fresh node per thread count replays the prefix, then the same ten
+    // measured blocks; ev_sv_ms sums the proof-bound (parallelized) phases.
     std::printf("\nEBV thread-count sweep — EV+SV wall time over the measured blocks\n");
-    std::printf("%-8s %8s %12s %10s\n", "threads", "batch", "ev_sv_ms", "speedup");
-    bench::print_rule(40);
+    std::printf("%-8s %12s %10s\n", "threads", "ev_sv_ms", "speedup");
+    bench::print_rule(31);
 
     double base_ev_sv_ms = 0;
-    for (const bool batched : {false, true}) {
-        for (const std::size_t threads : bench::env_thread_sweep()) {
-            util::ThreadPool pool(threads);
-            core::EbvNodeOptions sweep_options = ebv_options;
-            sweep_options.validator.script_pool = &pool;
-            sweep_options.validator.batch_verify = batched;
-            core::EbvNode sweep_node(sweep_options);
-            for (std::uint32_t i = 0; i + measured < blocks; ++i)
-                if (!sweep_node.submit_block(ebv_chain[i])) {
-                    report.aborted("block rejected during thread sweep");
-                    return 1;
-                }
-
-            double ev_sv_ms = 0;
-            for (std::uint32_t i = blocks - measured; i < blocks; ++i) {
-                auto r = sweep_node.submit_block(ebv_chain[i]);
-                if (!r) {
-                    report.aborted("block rejected during thread sweep");
-                    return 1;
-                }
-                ev_sv_ms += bench::ms(r->ev) + bench::ms(r->sv);
+    for (const std::size_t threads : bench::env_thread_sweep()) {
+        util::ThreadPool pool(threads);
+        core::EbvNodeOptions sweep_options = ebv_options;
+        sweep_options.validator.script_pool = &pool;
+        core::EbvNode sweep_node(sweep_options);
+        for (std::uint32_t i = 0; i + measured < blocks; ++i)
+            if (!sweep_node.submit_block(ebv_chain[i])) {
+                report.aborted("block rejected during thread sweep");
+                return 1;
             }
-            // Speedup is relative to the serial inline row in both modes.
-            if (threads == 1 && !batched) base_ev_sv_ms = ev_sv_ms;
-            const double speedup = ev_sv_ms > 0 ? base_ev_sv_ms / ev_sv_ms : 0.0;
-            std::printf("%-8zu %8s %12.2f %9.2fx\n", threads,
-                        batched ? "on" : "off", ev_sv_ms, speedup);
-            report.row(
-                "{\"threads\":%zu,\"batch\":%s,\"ev_sv_ms\":%.3f,\"speedup\":%.3f}",
-                threads, batched ? "true" : "false", ev_sv_ms, speedup);
+
+        double ev_sv_ms = 0;
+        for (std::uint32_t i = blocks - measured; i < blocks; ++i) {
+            auto r = sweep_node.submit_block(ebv_chain[i]);
+            if (!r) {
+                report.aborted("block rejected during thread sweep");
+                return 1;
+            }
+            ev_sv_ms += bench::ms(r->ev) + bench::ms(r->sv);
         }
+        if (threads == 1) base_ev_sv_ms = ev_sv_ms;
+        const double speedup = ev_sv_ms > 0 ? base_ev_sv_ms / ev_sv_ms : 0.0;
+        std::printf("%-8zu %12.2f %9.2fx\n", threads, ev_sv_ms, speedup);
+        report.row("{\"threads\":%zu,\"ev_sv_ms\":%.3f,\"speedup\":%.3f}", threads,
+                   ev_sv_ms, speedup);
     }
 
     // ---- Scheduler × skew sweep: work stealing vs shared counter ----------
@@ -168,9 +160,7 @@ int main() {
     // multisig, signer last — see workload::GeneratorOptions::skew). Under
     // uniform cost the schedulers should tie; under skew the stealing
     // scheduler's finer splits bound the straggler tail the shared counter
-    // pays in barrier_wait. Inline verification on both sides (batch mode's
-    // optimistic run re-verifies wrong-key multisig attempts inline anyway,
-    // which would blur the comparison). Speedup is relative to the
+    // pays in barrier_wait. Speedup is relative to the
     // counter/1-thread row of the same skew level, so steal-vs-counter is a
     // direct ratio within a level.
     const double skew = bench::env_double("EBV_SKEW", 1.0);
@@ -202,7 +192,6 @@ int main() {
                 util::ThreadPool pool(util::ThreadPool::Options{threads, mode, {}});
                 core::EbvNodeOptions sched_options = ebv_options;
                 sched_options.validator.script_pool = &pool;
-                sched_options.validator.batch_verify = false;
                 core::EbvNode sched_node(sched_options);
                 for (std::uint32_t i = 0; i + measured < blocks; ++i)
                     if (!sched_node.submit_block(level_chain[i])) {
@@ -235,8 +224,8 @@ int main() {
     // ---- Sighash-template sweep -------------------------------------------
     // Same replay, toggling the O(n) per-transaction sighash template
     // (core::TxSighashCache) that replaces the naive O(n · tx_size)
-    // re-serializing path inside SV. Serial, inline signatures, so the
-    // delta is the template's alone. ECDSA dominates SV (~0.4 ms/input vs
+    // re-serializing path inside SV. Serial, so the delta is the template's
+    // alone. ECDSA dominates SV (~0.4 ms/input vs
     // ~2 µs/input of sighash), so the honest end-to-end expectation is
     // parity — no regression — with the template's win isolated by the
     // sighash-phase rows below. Min-of-reps tames single-core timing noise.
@@ -254,7 +243,6 @@ int main() {
         double best_ms = 0;
         for (std::uint32_t rep = 0; rep < reps; ++rep) {
             core::EbvNodeOptions tpl_options = ebv_options;
-            tpl_options.validator.batch_verify = false;
             tpl_options.validator.sighash_template = tpl;
             core::EbvNode tpl_node(tpl_options);
             for (std::uint32_t i = 0; i + measured < blocks; ++i)

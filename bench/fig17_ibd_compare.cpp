@@ -132,9 +132,9 @@ int main() {
         static_cast<std::size_t>(bench::env_u64("EBV_PIPELINE_WINDOW", 16));
     std::printf("\nFig 17c — pipelined IBD (ebv::ibd, window=%zu) vs serial loop\n",
                 window);
-    std::printf("%-12s %8s %8s %8s %12s %9s\n", "mode", "threads", "window",
-                "batch", "ibd-ms", "speedup");
-    bench::print_rule(63);
+    std::printf("%-12s %8s %8s %12s %9s\n", "mode", "threads", "window", "ibd-ms",
+                "speedup");
+    bench::print_rule(54);
 
     double serial_ms = 0;
     {
@@ -150,48 +150,39 @@ int main() {
             }
         }
         serial_ms = util::to_ms(watch.elapsed_ns());
-        std::printf("%-12s %8u %8u %8s %12.1f %8.2fx\n", "serial", 1, 1, "off",
-                    serial_ms, 1.0);
+        std::printf("%-12s %8u %8u %12.1f %8.2fx\n", "serial", 1, 1, serial_ms, 1.0);
         report.row("{\"mode\":\"serial\",\"threads\":1,\"window\":1,"
                    "\"ibd_ms\":%.1f,\"speedup\":1.00,\"pipelined\":false}",
                    serial_ms);
     }
 
-    for (const bool batched : {false, true}) {
-        for (const std::size_t threads : bench::env_thread_sweep()) {
-            util::ThreadPool pool(threads);
-            core::EbvNodeOptions options;
-            options.params = gen_options.params;
-            options.validator.script_pool = &pool;
-            options.validator.batch_verify = batched;
-            options.pipeline.enabled = true;
-            options.pipeline.window = window;
-            core::EbvNode node(options);
+    for (const std::size_t threads : bench::env_thread_sweep()) {
+        util::ThreadPool pool(threads);
+        core::EbvNodeOptions options;
+        options.params = gen_options.params;
+        options.validator.script_pool = &pool;
+        options.pipeline.enabled = true;
+        options.pipeline.window = window;
+        core::EbvNode node(options);
 
-            const ibd::BatchResult result = node.submit_blocks(ebv_chain);
-            if (!result.ok() || result.connected != blocks) {
-                std::fprintf(stderr, "pipelined rejection (threads=%zu): %s\n",
-                             threads,
-                             result.failure
-                                 ? result.failure->failure.describe().c_str()
-                                 : "aborted");
-                report.aborted("block rejected in pipelined IBD pass");
-                return 1;
-            }
-            const double pipe_ms =
-                util::to_ms(static_cast<util::Nanoseconds>(result.wall_ns));
-            const double speedup = pipe_ms > 0 ? serial_ms / pipe_ms : 0.0;
-            // result.pipelined is the truth: EBV_PIPELINE=0 in the environment
-            // forces the serial fallback even here, and the report must say so.
-            std::printf("%-12s %8zu %8zu %8s %12.1f %8.2fx\n",
-                        result.pipelined ? "pipelined" : "fallback", threads,
-                        window, batched ? "on" : "off", pipe_ms, speedup);
-            report.row("{\"mode\":\"pipelined\",\"threads\":%zu,\"window\":%zu,"
-                       "\"batch\":%s,\"ibd_ms\":%.1f,\"speedup\":%.2f,"
-                       "\"pipelined\":%s}",
-                       threads, window, batched ? "true" : "false", pipe_ms,
-                       speedup, result.pipelined ? "true" : "false");
+        const ibd::BatchResult result = node.submit_blocks(ebv_chain);
+        if (!result.ok() || result.connected != blocks) {
+            std::fprintf(stderr, "pipelined rejection (threads=%zu): %s\n", threads,
+                         result.failure ? result.failure->failure.describe().c_str()
+                                        : "aborted");
+            report.aborted("block rejected in pipelined IBD pass");
+            return 1;
         }
+        const double pipe_ms = util::to_ms(static_cast<util::Nanoseconds>(result.wall_ns));
+        const double speedup = pipe_ms > 0 ? serial_ms / pipe_ms : 0.0;
+        // result.pipelined is the truth: EBV_PIPELINE=0 in the environment
+        // forces the serial fallback even here, and the report must say so.
+        std::printf("%-12s %8zu %8zu %12.1f %8.2fx\n",
+                    result.pipelined ? "pipelined" : "fallback", threads, window, pipe_ms,
+                    speedup);
+        report.row("{\"mode\":\"pipelined\",\"threads\":%zu,\"window\":%zu,"
+                   "\"ibd_ms\":%.1f,\"speedup\":%.2f,\"pipelined\":%s}",
+                   threads, window, pipe_ms, speedup, result.pipelined ? "true" : "false");
     }
     return 0;
 }

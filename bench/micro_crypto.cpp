@@ -2,11 +2,10 @@
 // the EV (Merkle) and SV (ECDSA) components of block validation.
 #include <benchmark/benchmark.h>
 
-#include <memory>
+#include <vector>
 
 #include "chain/sighash.hpp"
 #include "chain/sighash_template.hpp"
-#include "crypto/batch_verify.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/parse_memo.hpp"
@@ -192,28 +191,6 @@ void BM_EcdsaVerify(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_EcdsaVerify);
-
-// Batched verification: amortized s⁻¹/z⁻¹ inversions plus the Strauss
-// double-scalar multiply. Arg is the batch size; items-per-second makes the
-// per-signature cost comparable with BM_EcdsaVerify at Arg(1).
-void BM_EcdsaVerifyBatch(benchmark::State& state) {
-    util::Rng rng(8);
-    const auto n = static_cast<std::size_t>(state.range(0));
-    std::vector<crypto::VerifyJob> jobs;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto key = crypto::PrivateKey::generate(rng);
-        crypto::Hash256 digest;
-        rng.fill({digest.bytes().data(), 32});
-        jobs.push_back({key.public_key(), key.sign(digest), digest});
-    }
-    const std::unique_ptr<bool[]> verdicts(new bool[n]);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(crypto::verify_batch(jobs, verdicts.get()));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EcdsaVerifyBatch)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_PubkeyParse(benchmark::State& state) {
     util::Rng rng(7);

@@ -20,9 +20,9 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 /// and bool fields are always identity.
 bool is_identity_key(std::string_view key) {
     static constexpr std::string_view kKeys[] = {
-        "threads", "window", "height", "period", "blocks",
-        "seed",    "reps",   "mode",   "batch",  "shards",
-        "skew",    "clients", "queries_per_block", "arrival",
+        "threads", "window",  "height",            "period", "blocks",
+        "seed",    "reps",    "mode",              "shards", "skew",
+        "clients", "arrival", "queries_per_block", "sighash_phase_inputs",
     };
     for (const std::string_view k : kKeys) {
         if (key == k) return true;
@@ -166,6 +166,7 @@ CompareResult compare_reports(const Value& baseline, const Value& current,
         if (row.is_object()) current_by_id.emplace(row_identity(row), &row);
     }
 
+    std::size_t gated_count = 0;
     for (const Value& row : base_rows->as_array()) {
         if (!row.is_object()) continue;
         const std::string id = row_identity(row);
@@ -193,6 +194,7 @@ CompareResult compare_reports(const Value& baseline, const Value& current,
                 (options.gate_only.empty() ||
                  key.find(options.gate_only) != std::string::npos);
             if (gated) {
+                ++gated_count;
                 const double ratio = delta.current / delta.baseline;
                 delta.regression = delta.direction == Direction::kLowerBetter
                                        ? ratio > 1.0 + options.tolerance
@@ -203,6 +205,13 @@ CompareResult compare_reports(const Value& baseline, const Value& current,
         }
     }
 
+    // A gate that compared nothing passes whatever the run measured: a
+    // renamed row key or a stale --gate-only filter must fail loudly.
+    if (gated_count == 0)
+        error(options.gate_only.empty()
+                  ? "no metric gated: no baseline row matched a gated metric"
+                  : "no metric gated: no matched metric contains \"" + options.gate_only +
+                        "\"");
     if (result.regressions > 0) result.ok = false;
     return result;
 }

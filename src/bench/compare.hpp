@@ -13,6 +13,7 @@
 // (_ms/_ns/_us/_bytes) gate lower-is-better, speedup/reduction metrics
 // gate higher-is-better, anything else is reported but never fails the
 // comparison. The registry snapshot under "metrics" is informational only.
+// A comparison that gates no metric at all fails: it would pass any run.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +58,8 @@ struct CompareOptions {
 
 struct CompareResult {
     bool ok = true;  ///< no errors and no regressions
-    std::vector<std::string> errors;    ///< aborted runs, bench mismatch, parse failures
+    /// Aborted runs, bench mismatch, parse failures, no metric gated.
+    std::vector<std::string> errors;
     std::vector<std::string> warnings;  ///< missing rows/metrics, provenance drift
     std::vector<MetricDelta> deltas;    ///< every metric present in both reports
     std::size_t regressions = 0;

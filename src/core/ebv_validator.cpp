@@ -112,7 +112,7 @@ std::optional<EbvValidationFailure> check_block_structure(const EbvBlock& block,
 
 bool EbvSignatureChecker::check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                           util::ByteSpan script_code) const {
-    const auto job = prepare_signature(signature, pubkey, script_code);
+    const auto job = parse_job(signature, pubkey, script_code);
     if (!job) return false;
     // Cache hit = this exact (sighash, pubkey, sig) triple already verified
     // TRUE (only successes are ever inserted), so the curve check is
@@ -123,7 +123,7 @@ bool EbvSignatureChecker::check_signature(util::ByteSpan signature, util::ByteSp
     return ok;
 }
 
-std::optional<crypto::VerifyJob> EbvSignatureChecker::prepare_signature(
+std::optional<crypto::VerifyJob> EbvSignatureChecker::parse_job(
     util::ByteSpan signature, util::ByteSpan pubkey, util::ByteSpan script_code) const {
     if (signature.empty()) return std::nullopt;
     const std::uint8_t hash_type = signature.back();

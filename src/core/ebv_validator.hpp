@@ -17,6 +17,7 @@
 #include "chain/params.hpp"
 #include "core/ebv_transaction.hpp"
 #include "core/sighash_cache.hpp"
+#include "crypto/ecdsa.hpp"
 #include "script/interpreter.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -124,9 +125,6 @@ struct EbvTimings {
 struct EbvValidatorOptions {
     bool verify_scripts = true;
     util::ThreadPool* script_pool = nullptr;
-    /// Deferred batched ECDSA verification for the fused EV+SV pass (see
-    /// docs/CRYPTO.md).
-    bool batch_verify = false;
     /// O(n) per-transaction sighash templates for SV (docs/CRYPTO.md).
     bool sighash_template = true;
     /// Shared signature-verification cache: signatures the mempool already
@@ -135,9 +133,8 @@ struct EbvValidatorOptions {
     SigCache* sigcache = nullptr;
 };
 
-[[nodiscard]] inline bool batch_verify_enabled(const EbvValidatorOptions& options) {
-    return options.batch_verify;
-}
+/// Always false: kept only until the benchmark's provenance line drops the field.
+[[nodiscard]] inline bool batch_verify_enabled(const EbvValidatorOptions&) { return false; }
 [[nodiscard]] inline bool sighash_template_enabled(const EbvValidatorOptions& options) {
     return options.sighash_template;
 }
@@ -153,14 +150,12 @@ public:
     [[nodiscard]] bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                        util::ByteSpan script_code) const override;
 
-    /// The deferred-mode twin of check_signature: same parse-time rejects
-    /// (DER strictness, SIGHASH_ALL only, compressed-key parse), but the
-    /// curve work is left to crypto::verify_batch.
-    [[nodiscard]] std::optional<crypto::VerifyJob> prepare_signature(
-        util::ByteSpan signature, util::ByteSpan pubkey,
-        util::ByteSpan script_code) const override;
-
 private:
+    /// The parse-time rejects of check_signature (SIGHASH_ALL only, strict
+    /// DER, compressed-key parse) and the sighash; nullopt = reject.
+    [[nodiscard]] std::optional<crypto::VerifyJob> parse_job(
+        util::ByteSpan signature, util::ByteSpan pubkey, util::ByteSpan script_code) const;
+
     const EbvTransaction& tx_;
     std::size_t input_index_;
     const TxSighashCache* cache_;

@@ -6,7 +6,6 @@
 
 #include "chain/amount.hpp"
 #include "core/sighash_cache.hpp"
-#include "core/sv_batcher.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
@@ -180,19 +179,6 @@ ProofKernel::PassTimes ProofKernel::run(HeaderLookup headers, std::size_t prefix
     std::vector<std::uint64_t> sv_busy(slots, 0);
     std::vector<std::uint64_t> prefix_busy(slots, 0);
 
-    // Deferred batched signature checking (docs/CRYPTO.md): verdicts may
-    // resolve late, at a batch drain, but land in the same verdict slots and
-    // CAS-mins the inline path uses, so resolve() is identical either way.
-    const auto resolve_sv = [&](std::size_t j, script::ScriptError err) {
-        if (err == script::ScriptError::kOk) return;
-        verdicts_[j].script = err;
-        sv_min_[jobs_[j].block].lower_to(jobs_[j].ordinal);
-        min_fail_block.lower_to(jobs_[j].block);
-    };
-    std::optional<SvBatcher> batcher;
-    if (verify_scripts && options_.batch_verify)
-        batcher.emplace(slots, resolve_sv, options_.sigcache);
-
     // Per-transaction sighash templates, built lazily by whichever worker
     // first reaches one of the transaction's inputs and shared by the rest
     // (immutable after construction). once_flag is neither movable nor
@@ -254,10 +240,12 @@ ProofKernel::PassTimes ProofKernel::run(HeaderLookup headers, std::size_t prefix
                            [&] { templates[t] = std::make_unique<TxSighashCache>(tx); });
             cache = templates[t].get();
         }
-        if (batcher) {
-            batcher->check(slot, j, tx, job.input_index, cache);
-        } else {
-            resolve_sv(j, sv_check_input(tx, job.input_index, cache, options_.sigcache));
+        const script::ScriptError err =
+            sv_check_input(tx, job.input_index, cache, options_.sigcache);
+        if (err != script::ScriptError::kOk) {
+            verdicts_[j].script = err;
+            sv_min_[job.block].lower_to(job.ordinal);
+            min_fail_block.lower_to(job.block);
         }
         const util::Nanoseconds sv_ns = watch.elapsed_ns();
         sv_busy[slot] += static_cast<std::uint64_t>(sv_ns);
@@ -286,21 +274,6 @@ ProofKernel::PassTimes ProofKernel::run(HeaderLookup headers, std::size_t prefix
         for (std::size_t i = 0; i < pass_total; ++i) {
             if (i >= prefix_jobs && cancel != nullptr && cancel->cancelled()) break;
             pass_body(0, i);
-        }
-    }
-    if (batcher) {
-        // Drain the below-target remainders, one pool index per batcher
-        // slot: at tens of inputs per block no slot reaches kBatchTarget in
-        // the pass, so most curve work lands here and must not serialize.
-        const auto drain = [&](std::size_t slot, std::size_t s) {
-            util::Stopwatch watch;
-            batcher->flush(s);
-            sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
-        };
-        if (pool != nullptr) {
-            pool->parallel_for_slots(slots, drain);
-        } else {
-            drain(0, 0);
         }
     }
     const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();

@@ -5,7 +5,7 @@
 //   jobs       one fused EV+SV job per non-coinbase input of every block;
 //   run()      one parallel pass over all jobs on the script pool: EV (the
 //              Merkle branch folds to the stored root), then SV (the script
-//              run, inline or through core::SvBatcher), out of order;
+//              run, signatures verified inline), out of order;
 //   resolve()  per block, in input order: the pass's EV verdict, UV (the bit
 //              test, in-block double spend, an optional pending-spend
 //              overlay), maturity, value, fee and coinbase rules, then the
@@ -15,7 +15,7 @@
 // ranked before it (an earlier block, or a lower input of its own block) is
 // already recorded, so every verdict resolve() reads was fully evaluated and
 // the reported EbvValidationFailure is the one a serial input-at-a-time
-// check hits first, for every thread count, window and batching mode.
+// check hits first, for every thread count and window.
 #pragma once
 
 #include <atomic>

@@ -45,6 +45,14 @@ private:
     secp256k1::Point point_;
 };
 
+/// One signature check: the (pubkey, signature, sighash) triple an
+/// OP_CHECKSIG-family opcode verifies, and the entry core::SigCache keys on.
+struct VerifyJob {
+    PublicKey key;
+    Signature sig;
+    Hash256 digest;
+};
+
 class PrivateKey {
 public:
     PrivateKey() = default;

@@ -1,8 +1,8 @@
 // Memoized pubkey/DER-signature parsing for the script checkers.
 //
 // Multi-input transactions spending outputs of the same key re-parse the
-// identical 33-byte compressed pubkey (a field sqrt to decompress) and,
-// under batched SV re-runs, the identical DER signature for every input.
+// identical 33-byte compressed pubkey (a field sqrt to decompress) for every
+// input, and OP_CHECKMULTISIG parses each DER signature once per key tried.
 // These helpers keep a small thread-local direct-mapped cache keyed on the
 // byte content, so repeat parses are a hash + memcmp. Thread-local state
 // means no locks on the validation hot path and no false sharing between

@@ -442,33 +442,6 @@ Point multiply_double_generator(const Point& p, const U256& u1, const U256& u2) 
     return to_affine(strauss_double_multiply(p, u1, u2));
 }
 
-std::size_t multiply_double_generator_batch(std::span<const DoubleScalar> jobs,
-                                            Point* out) {
-    std::vector<Jacobian> raw(jobs.size());
-    std::vector<U256> zs;
-    zs.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        raw[i] = strauss_double_multiply(jobs[i].p, jobs[i].u1, jobs[i].u2);
-        if (!raw[i].infinity()) zs.push_back(raw[i].z);
-    }
-
-    field().inverse_batch(zs.data(), zs.size());
-
-    const ModArith& f = field();
-    std::size_t next = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (raw[i].infinity()) {
-            out[i] = Point::at_infinity();
-            continue;
-        }
-        const U256& zinv = zs[next++];
-        const U256 zinv2 = f.sqr(zinv);
-        const U256 zinv3 = f.mul(zinv2, zinv);
-        out[i] = Point{f.mul(raw[i].x, zinv2), f.mul(raw[i].y, zinv3), false};
-    }
-    return zs.size() > 1 ? zs.size() - 1 : 0;
-}
-
 bool double_generator_x_equals(const Point& p, const U256& u1, const U256& u2,
                                const U256& r) {
     const Jacobian R = strauss_double_multiply(p, u1, u2);

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 
 #include "crypto/u256.hpp"
 #include "util/span.hpp"
@@ -57,20 +56,6 @@ Point multiply_double_generator(const Point& p, const U256& u1, const U256& u2);
 /// `!R.infinity && order().reduce(R.x) == r` on multiply_double_generator.
 bool double_generator_x_equals(const Point& p, const U256& u1, const U256& u2,
                                const U256& r);
-
-/// One u1·G + u2·P job for the batch form below.
-struct DoubleScalar {
-    Point p;
-    U256 u1;
-    U256 u2;
-};
-
-/// Batch multiply_double_generator: out[i] = jobs[i].u1·G + jobs[i].u2·P,
-/// with every Jacobian→affine conversion sharing one Montgomery-batched
-/// field inversion. Returns the number of modular inversions saved relative
-/// to per-job calls (0 when fewer than two results are finite points).
-std::size_t multiply_double_generator_batch(std::span<const DoubleScalar> jobs,
-                                            Point* out);
 
 namespace detail {
 /// The projective x-check behind double_generator_x_equals: true iff the

@@ -6,10 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "crypto/batch_verify.hpp"
 #include "script/script.hpp"
 #include "util/result.hpp"
 #include "util/span.hpp"
@@ -59,49 +57,6 @@ public:
     virtual ~SignatureChecker() = default;
     [[nodiscard]] virtual bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                                util::ByteSpan script_code) const = 0;
-
-    /// Deferred-check support: parse signature/pubkey and compute the
-    /// sighash WITHOUT paying for the curve operations, so the triple can
-    /// be recorded for a later crypto::verify_batch. Contract: a non-null
-    /// result must satisfy check_signature(...) ==
-    /// job.key.verify(job.digest, job.sig); nullopt means the triple cannot
-    /// be formed (parse failure, unsupported sighash type, or deferral not
-    /// implemented) and the caller must fall back to check_signature.
-    [[nodiscard]] virtual std::optional<crypto::VerifyJob> prepare_signature(
-        util::ByteSpan signature, util::ByteSpan pubkey, util::ByteSpan script_code) const {
-        (void)signature;
-        (void)pubkey;
-        (void)script_code;
-        return std::nullopt;
-    }
-};
-
-/// Collect-mode decorator: OP_CHECKSIG / OP_CHECKMULTISIG record (pubkey,
-/// sig, sighash) triples through the wrapped checker's prepare_signature
-/// and optimistically report success; signatures whose triple cannot be
-/// formed are checked inline, exactly as the wrapped checker would. The
-/// caller drains collected() through crypto::verify_batch afterwards and,
-/// on any optimistic-run failure or batch miss, must re-run the script
-/// with the wrapped checker — that fallback is what keeps failure verdicts
-/// identical to a fully inline run (see docs/CRYPTO.md).
-class DeferringSignatureChecker final : public SignatureChecker {
-public:
-    explicit DeferringSignatureChecker(const SignatureChecker& inner) : inner_(inner) {}
-
-    [[nodiscard]] bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
-                                       util::ByteSpan script_code) const override {
-        auto job = inner_.prepare_signature(signature, pubkey, script_code);
-        if (!job) return inner_.check_signature(signature, pubkey, script_code);
-        collected_.push_back(std::move(*job));
-        return true;
-    }
-
-    /// Triples recorded so far, in execution order.
-    [[nodiscard]] std::vector<crypto::VerifyJob>& collected() const { return collected_; }
-
-private:
-    const SignatureChecker& inner_;
-    mutable std::vector<crypto::VerifyJob> collected_;
 };
 
 /// A checker that rejects everything — for contexts with no transaction.

@@ -12,7 +12,7 @@
 //   overpayment, broken block structure.
 //
 // The scenario-matrix harness applies each mutation and asserts that all
-// validator configurations (serial / parallel / batched-SV / pipelined-IBD)
+// validator configurations (serial / parallel / pipelined-IBD / warm sigcache)
 // reject with bit-identical failure tuples.
 #pragma once
 

@@ -1,11 +1,12 @@
 // Unit tests for the bench_compare decision logic (src/bench/compare.hpp):
 // improvements pass, regressions beyond tolerance fail, missing metrics
-// warn, aborted runs refuse to gate, and provenance drift warns (or fails
-// under --strict-provenance).
+// warn, aborted runs refuse to gate, provenance drift warns (or fails
+// under --strict-provenance), and a comparison that gates nothing fails.
 #include "bench/compare.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 namespace ebv::bench {
@@ -97,10 +98,16 @@ TEST(BenchCompare, MissingMetricWarnsWithoutFailing) {
 }
 
 TEST(BenchCompare, MissingRowWarnsWithoutFailing) {
+    // The baseline's pipelined row still matches and gates; its serial row
+    // has no counterpart in the current run.
+    std::string baseline = kBaseline;
+    const auto end = baseline.find("],\"aborted\"");
+    ASSERT_NE(end, std::string::npos);
+    baseline.insert(end, R"(,{"mode":"serial","threads":1,"window":1,"ibd_ms":2000.0})");
     const auto result = compare_reports(
-        doc(kBaseline), doc(current_with(R"({"mode":"serial","threads":4,"window":8,)"
-                                         R"("ibd_ms":900.0,"speedup":2.0,"inputs":500})")));
-    EXPECT_TRUE(result.ok);
+        doc(baseline), doc(current_with(R"({"mode":"pipelined","threads":4,"window":8,)"
+                                        R"("ibd_ms":1000.0,"speedup":2.0,"inputs":500})")));
+    EXPECT_TRUE(result.ok) << format_report(result);
     ASSERT_FALSE(result.warnings.empty());
     EXPECT_NE(result.warnings[0].find("missing"), std::string::npos);
 }
@@ -192,13 +199,14 @@ TEST(BenchCompare, SkewIsIdentityNotMetric) {
         R"("ev_sv_ms":100.0,"speedup":3.0}],"aborted":false})";
 
     // Same scheduler/threads at a different skew level: no matching row,
-    // warn instead of comparing apples to oranges.
+    // warn instead of comparing apples to oranges (and, with nothing left
+    // to gate, fail).
     const auto mismatched = compare_reports(
         doc(base),
         doc(R"({"bench":"fig16_validation_compare","provenance":{},)"
             R"("rows":[{"scheduler":"steal","skew":0.0,"threads":4,)"
             R"("ev_sv_ms":50.0,"speedup":9.0}],"aborted":false})"));
-    EXPECT_TRUE(mismatched.ok);
+    EXPECT_FALSE(mismatched.ok);
     ASSERT_FALSE(mismatched.warnings.empty());
     EXPECT_NE(mismatched.warnings.back().find("skew=1"), std::string::npos);
     EXPECT_TRUE(mismatched.deltas.empty());
@@ -222,13 +230,14 @@ TEST(BenchCompare, ArrivalIsIdentityNotMetric) {
         R"("rows":[{"threads":4,"arrival":32,)"
         R"("warm_connect_ms":1.0,"cache_hit_speedup":60.0}],"aborted":false})";
 
-    // Same threads at a different burst size: no matching row, warn.
+    // Same threads at a different burst size: no matching row, warn (and,
+    // with nothing left to gate, fail).
     const auto mismatched = compare_reports(
         doc(base),
         doc(R"({"bench":"fig20_mempool","provenance":{},)"
             R"("rows":[{"threads":4,"arrival":256,)"
             R"("warm_connect_ms":0.5,"cache_hit_speedup":90.0}],"aborted":false})"));
-    EXPECT_TRUE(mismatched.ok);
+    EXPECT_FALSE(mismatched.ok);
     ASSERT_FALSE(mismatched.warnings.empty());
     EXPECT_NE(mismatched.warnings.back().find("arrival=32"), std::string::npos);
     EXPECT_TRUE(mismatched.deltas.empty());
@@ -242,6 +251,64 @@ TEST(BenchCompare, ArrivalIsIdentityNotMetric) {
     EXPECT_TRUE(matched.ok) << format_report(matched);
     EXPECT_EQ(matched.deltas.size(), 2u);
     for (const MetricDelta& d : matched.deltas) EXPECT_NE(d.metric, "arrival");
+}
+
+TEST(BenchCompare, SighashPhaseInputsIsIdentityNotMetric) {
+    // fig16's sighash-phase rows differ only in sighash_phase_inputs; each
+    // must pair with its own input count, whatever order the run emits.
+    const auto phase = [](int inputs, double speedup) {
+        char row[160];
+        std::snprintf(row, sizeof row,
+                      R"({"sighash_phase_inputs":%d,"txs":64,"speedup":%.3f,)"
+                      R"("sha256_impl":"scalar"})",
+                      inputs, speedup);
+        return std::string(row);
+    };
+    const auto report = [](const std::string& rows) {
+        return R"({"bench":"fig16_validation_compare","provenance":{},"rows":[)" + rows +
+               R"(],"aborted":false})";
+    };
+    const auto result = compare_reports(
+        doc(report(phase(1, 0.976) + "," + phase(16, 2.389) + "," + phase(64, 1.378))),
+        doc(report(phase(64, 2.15) + "," + phase(1, 0.948) + "," + phase(16, 2.55))));
+    EXPECT_TRUE(result.ok) << format_report(result);
+    std::size_t speedups = 0;
+    for (const MetricDelta& d : result.deltas) {
+        EXPECT_NE(d.metric, "sighash_phase_inputs");
+        if (d.metric != "speedup") continue;
+        ++speedups;
+        EXPECT_FALSE(d.regression) << d.row;
+        if (d.row.find("sighash_phase_inputs=16 ") == 0) {
+            EXPECT_DOUBLE_EQ(d.baseline, 2.389);
+            EXPECT_DOUBLE_EQ(d.current, 2.55);
+        }
+    }
+    EXPECT_EQ(speedups, 3u);  // every phase row found its counterpart
+}
+
+TEST(BenchCompare, GatingNothingFails) {
+    // No baseline row matched: every metric went unchecked.
+    const auto unmatched = compare_reports(
+        doc(kBaseline), doc(current_with(R"({"mode":"serial","threads":4,"window":8,)"
+                                         R"("ibd_ms":1.0,"speedup":9.0,"inputs":500})")));
+    EXPECT_FALSE(unmatched.ok);
+    EXPECT_EQ(unmatched.regressions, 0u);
+    ASSERT_EQ(unmatched.errors.size(), 1u);
+    EXPECT_NE(unmatched.errors[0].find("no metric gated"), std::string::npos);
+
+    // Rows matched, but the --gate-only filter names no metric they carry.
+    CompareOptions options;
+    options.gate_only = "no_such_metric";
+    const auto filtered = compare_reports(
+        doc(kBaseline),
+        doc(current_with(R"({"mode":"pipelined","threads":4,"window":8,)"
+                         R"("ibd_ms":1000.0,"speedup":2.0,"inputs":500})")),
+        options);
+    EXPECT_FALSE(filtered.ok);
+    EXPECT_EQ(filtered.deltas.size(), 3u);  // still all reported
+    ASSERT_EQ(filtered.errors.size(), 1u);
+    EXPECT_NE(filtered.errors[0].find("no_such_metric"), std::string::npos);
+    EXPECT_NE(format_report(filtered).find("FAIL"), std::string::npos);
 }
 
 TEST(BenchCompare, MetricDirectionTable) {

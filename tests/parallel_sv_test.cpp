@@ -70,10 +70,6 @@ TEST(ParallelSv, EbvPooledRejectsBadSignatureLikeSerial) {
     pooled_options.validator.script_pool = &pool;
     core::EbvNode pooled_node(pooled_options);
 
-    core::EbvNodeOptions batched_options = pooled_options;
-    batched_options.validator.batch_verify = true;
-    core::EbvNode batched_node(batched_options);
-
     bool tampered_one = false;
     for (int i = 0; i < 25; ++i) {
         const auto block = gen.next_block();
@@ -93,22 +89,17 @@ TEST(ParallelSv, EbvPooledRejectsBadSignatureLikeSerial) {
 
             const auto serial_result = serial_node.submit_block(bad);
             const auto pooled_result = pooled_node.submit_block(bad);
-            const auto batched_result = batched_node.submit_block(bad);
             ASSERT_FALSE(serial_result.has_value());
             ASSERT_FALSE(pooled_result.has_value());
-            ASSERT_FALSE(batched_result.has_value());
             EXPECT_EQ(serial_result.error().error, core::EbvError::kScriptFailure);
             EXPECT_EQ(pooled_result.error().error, core::EbvError::kScriptFailure);
-            EXPECT_EQ(batched_result.error(), serial_result.error());
         }
 
         ASSERT_TRUE(serial_node.submit_block(*converted).has_value());
         ASSERT_TRUE(pooled_node.submit_block(*converted).has_value());
-        ASSERT_TRUE(batched_node.submit_block(*converted).has_value());
     }
     EXPECT_TRUE(tampered_one);
     EXPECT_EQ(serial_node.status().memory_bytes(), pooled_node.status().memory_bytes());
-    EXPECT_EQ(serial_node.status().memory_bytes(), batched_node.status().memory_bytes());
 }
 
 // Regression for the parallel failure-reporting race: whatever mix of
@@ -141,12 +132,10 @@ protected:
     /// Replay the good prefix on a fresh node, then submit `bad` and return
     /// the reported failure.
     core::EbvValidationFailure failure_with(util::ThreadPool* pool,
-                                            const core::EbvBlock& bad,
-                                            bool batch_verify = false) {
+                                            const core::EbvBlock& bad) {
         core::EbvNodeOptions options;
         options.params = gen_options_.params;
         options.validator.script_pool = pool;
-        options.validator.batch_verify = batch_verify;
         core::EbvNode node(options);
         for (const auto& b : prefix_) EXPECT_TRUE(node.submit_block(b).has_value());
         auto result = node.submit_block(bad);
@@ -157,24 +146,18 @@ protected:
         return result.error();
     }
 
-    /// The serial inline run is the reference; every thread count, with and
-    /// without deferred batch verification, must report its exact tuple.
+    /// The serial run is the reference; every thread count must report its
+    /// exact tuple.
     void expect_identical_across_thread_counts(const core::EbvBlock& bad) {
         const core::EbvValidationFailure want = failure_with(nullptr, bad);
-        for (const bool batch : {false, true}) {
-            for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-                util::ThreadPool pool(threads);
-                for (int rep = 0; rep < 3; ++rep) {
-                    const core::EbvValidationFailure got = failure_with(&pool, bad, batch);
-                    EXPECT_EQ(want.error, got.error)
-                        << "threads=" << threads << " batch=" << batch;
-                    EXPECT_EQ(want.tx_index, got.tx_index)
-                        << "threads=" << threads << " batch=" << batch;
-                    EXPECT_EQ(want.input_index, got.input_index)
-                        << "threads=" << threads << " batch=" << batch;
-                    EXPECT_EQ(want.script_error, got.script_error)
-                        << "threads=" << threads << " batch=" << batch;
-                }
+        for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+            util::ThreadPool pool(threads);
+            for (int rep = 0; rep < 3; ++rep) {
+                const core::EbvValidationFailure got = failure_with(&pool, bad);
+                EXPECT_EQ(want.error, got.error) << "threads=" << threads;
+                EXPECT_EQ(want.tx_index, got.tx_index) << "threads=" << threads;
+                EXPECT_EQ(want.input_index, got.input_index) << "threads=" << threads;
+                EXPECT_EQ(want.script_error, got.script_error) << "threads=" << threads;
             }
         }
     }
@@ -271,9 +254,8 @@ TEST_F(ParallelSvDeterminism, DoubleSpendOutranksBadSignature) {
     core::EbvBlock bad = *victim_;
     // One transaction carries both a corrupted signature (its first input)
     // and an in-block double spend (its first input duplicated at the end).
-    // UV verdicts resolve before SV verdicts, so every thread count and
-    // batch mode must report kDoubleSpendInBlock at the duplicate, never
-    // the script failure.
+    // UV verdicts resolve before SV verdicts, so every thread count must
+    // report kDoubleSpendInBlock at the duplicate, never the script failure.
     core::EbvTransaction* spender = nullptr;
     for (auto& tx : bad.txs) {
         if (!tx.inputs.empty()) {

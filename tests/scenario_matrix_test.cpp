@@ -1,6 +1,6 @@
 // Adversarial & reorg scenario matrix (docs/SCENARIOS.md): every hostile
-// mutation the workload::Adversary can produce runs through all four
-// validator configurations — serial, parallel, batched-SV, pipelined-IBD —
+// mutation the workload::Adversary can produce runs through all three
+// validator configurations — serial, parallel, pipelined-IBD —
 // and must be rejected with bit-identical EbvValidationFailure tuples and
 // bit-identical post-run state (bit-vector shards, tip, height). Reorgs,
 // including deep ones crossing pipeline window boundaries and hostile
@@ -70,20 +70,18 @@ workload::GeneratorOptions matrix_gen_options(std::uint64_t seed) {
     return options;
 }
 
-/// The four validator configurations of the failure-parity contract.
+/// The three validator configurations of the failure-parity contract.
 struct Config {
     const char* name;
     bool use_pool;
-    bool batch_verify;
     bool pipelined;
     std::size_t window;
 };
 
 constexpr Config kConfigs[] = {
-    {"serial", false, false, false, 1},
-    {"parallel", true, false, false, 1},
-    {"batched-sv", true, true, false, 1},
-    {"pipelined", true, false, true, 4},
+    {"serial", false, false, 1},
+    {"parallel", true, false, 1},
+    {"pipelined", true, true, 4},
 };
 constexpr std::size_t kConfigCount = sizeof(kConfigs) / sizeof(kConfigs[0]);
 
@@ -95,7 +93,6 @@ std::unique_ptr<core::EbvNode> make_node(const Config& cfg, util::ThreadPool* po
     options.params = params;
     options.data_dir = data_dir;
     options.validator.script_pool = cfg.use_pool ? pool : nullptr;
-    options.validator.batch_verify = cfg.batch_verify;
     options.validator.sighash_template = true;
     options.validator.sigcache = sigcache;
     options.pipeline.enabled = cfg.pipelined;
@@ -249,7 +246,7 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyAcrossConfigs) {
 // cache cannot vouch for, and failed checks always re-verify. Re-run the
 // whole mutation catalogue with a cache warmed on the clean chain and
 // compare against a cold serial baseline — tuples and state bit-identical
-// across all four configurations (the "cache on" half of the on/off/evicted
+// across all three configurations (the "cache on" half of the on/off/evicted
 // guarantee; targeted poisoning/eviction lives in core_sigcache_test).
 TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
     util::ThreadPool pool(4);
@@ -705,7 +702,7 @@ TEST_F(ScenarioInflation, OutputSumOverflowRejectedEverywhere) {
 
 // Seed-logged randomized soak: hundreds of blocks of valid traffic
 // interleaved with random mutations, deep reorgs (sometimes past the
-// pipeline window), reorg-backs, and hostile branches — all four
+// pipeline window), reorg-backs, and hostile branches — all three
 // configurations must agree on every accept, every reject tuple, and every
 // intermediate state. Override EBV_SOAK_SEED / EBV_SOAK_BLOCKS to replay a
 // failure or to scale up (the nightly CI job runs a fresh seed each time).
@@ -768,7 +765,7 @@ TEST(ScenarioSoak, RandomizedSoak) {
             all.push_back(*converted);
         }
 
-        // Sometimes a hostile copy of the segment arrives first: all four
+        // Sometimes a hostile copy of the segment arrives first: all three
         // nodes must reject it at the same block with the same tuple, then
         // accept the clean remainder.
         if (dice.chance(0.35)) {

@@ -10,7 +10,8 @@
 //   --strict-provenance    provenance mismatch is an error, not a warning
 //
 // Exit status: 0 = pass, 1 = regression or fatal mismatch (aborted run,
-// different bench, strict-provenance failure), 2 = usage / unreadable input.
+// different bench, strict-provenance failure, no metric gated), 2 = usage /
+// unreadable input.
 // All decision logic lives in bench::compare (src/bench/compare.hpp) so it
 // is unit-tested; this file is argument parsing and exit codes only.
 #include <cstdio>
